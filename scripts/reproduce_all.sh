@@ -1,22 +1,19 @@
 #!/usr/bin/env bash
 # Builds everything, runs the full test suite and regenerates every table
-# and figure of the paper. Outputs land in test_output.txt and
-# bench_output.txt at the repository root.
+# and figure of the paper from the scenario catalog, plus each
+# implementation's collective decision table. Outputs land in
+# test_output.txt and bench_output.txt at the repository root; the campaign
+# report (per-scenario digests and metrics) in campaign-results/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+cmake -B build -S .
+cmake --build build -j "$(nproc)"
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-: > bench_output.txt
-for b in build/bench/*; do
-  echo "==== $(basename "$b") ====" | tee -a bench_output.txt
-  if [ "$(basename "$b")" = "bench_micro_sim" ]; then
-    "$b" --benchmark_min_time=0.1 2>&1 | tee -a bench_output.txt
-  else
-    "$b" 2>&1 | tee -a bench_output.txt
-  fi
-done
+{
+  build/src/tools/gridsim campaign --render --out campaign-results
+  build/src/tools/gridsim coll --list
+} 2>&1 | tee bench_output.txt
 echo "done: see test_output.txt and bench_output.txt"

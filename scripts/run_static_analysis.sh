@@ -16,7 +16,7 @@ MODE="${1:-all}"
 STATUS=0
 
 # Sources under analysis: everything we compile, not the build trees.
-mapfile -t SOURCES < <(find src tests bench examples \
+mapfile -t SOURCES < <(find src tests examples \
   \( -name '*.cpp' -o -name '*.hpp' \) | sort)
 
 run_format() {

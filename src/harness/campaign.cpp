@@ -248,7 +248,7 @@ bool write_campaign_json(const std::string& path,
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
     const ScenarioOutcome& o = report.outcomes[i];
-    // One scenario per line (shell-diffable; see scripts/check_campaign.sh).
+    // One scenario per line (shell-diffable; see scripts/check_digests.sh).
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"group\": \"%s\", \"ok\": %s, "
                  "\"digest\": \"%016llx\", \"trace_events\": %llu, "

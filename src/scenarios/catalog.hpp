@@ -1,9 +1,8 @@
 // The paper's experiment catalog: every figure/table cell of "Comparison
 // and tuning of MPI implementations in a grid context" (and this repo's
 // ablation/extension studies) registered as a ScenarioSpec in one
-// ScenarioRegistry. Consumers — the per-figure bench shims, `gridsim
-// campaign`, the tests — select from this registry by glob instead of
-// hand-rolling experiment mains.
+// ScenarioRegistry. Consumers — `gridsim campaign`, the tests — select
+// from this registry by glob instead of hand-rolling experiment mains.
 #pragma once
 
 #include <string>
@@ -17,11 +16,5 @@ namespace gridsim::scenarios {
 /// table2, fig10..fig13, table6, table7, then the ablation_* and ext_*
 /// studies.
 const harness::ScenarioRegistry& paper_registry();
-
-/// Serial convenience for the bench shims: runs every catalog scenario
-/// matching `filter` (digests off, caller thread) and prints each matched
-/// group's rendering in registration order. Returns the number of failed
-/// scenarios (0 = success), or -1 if the filter matched nothing.
-int run_and_print(const std::string& filter);
 
 }  // namespace gridsim::scenarios

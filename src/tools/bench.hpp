@@ -1,9 +1,6 @@
 // `gridsim bench` support: engine micro-benchmarks and a representative
 // figure subset, instrumented end to end and written to BENCH_micro.json /
 // BENCH_figs.json (see docs/usage.md for the schema).
-//
-// The per-figure bench binaries no longer use this header — they are thin
-// shims over the scenario catalog (src/scenarios/).
 #pragma once
 
 #include <array>

@@ -1,13 +1,5 @@
 // gridsim — command-line driver for the simulator.
 //
-//   gridsim pingpong  [--impl NAME] [--tuning default|tcp|full] [--cluster]
-//                     [--min BYTES] [--max BYTES] [--rounds N]
-//   gridsim latency   [--impl NAME] [--tuning ...]
-//   gridsim nas       [--kernel K] [--class S|A|B] [--ranks N]
-//                     [--impl NAME] [--tuning ...] [--cluster]
-//   gridsim ray2mesh  [--master SITE] [--rays N] [--impl NAME]
-//   gridsim simri     [--object N] [--nodes N]
-//   gridsim slowstart [--impl NAME] [--messages N] [--cross-traffic]
 //   gridsim audit     [--scenario pingpong|nas|ray2mesh|all] [--seed N]
 //                     [--expect HEXDIGEST]
 //   gridsim bench     [--quick] [--out DIR] [--reps N]
@@ -74,27 +66,21 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "apps/ray2mesh.hpp"
-#include "apps/simri.hpp"
-#include "bench/common.hpp"
 #include "collectives/guidelines.hpp"
 #include "collectives/registry.hpp"
 #include "collectives/selector.hpp"
 #include "harness/campaign.hpp"
 #include "harness/determinism.hpp"
-#include "harness/npb_campaign.hpp"
-#include "harness/pingpong.hpp"
-#include "harness/report.hpp"
 #include "profiles/profiles.hpp"
 #include "scenarios/catalog.hpp"
 #include "simlint/lint.hpp"
 #include "simmc/mc.hpp"
+#include "tools/bench.hpp"
 #include "tools/cli.hpp"
 
 namespace {
@@ -128,206 +114,6 @@ mpi::ImplProfile impl_by_name(const std::string& name) {
                "MPICH-Madeleine, OpenMPI, MPICH-G2)\n",
                name.c_str());
   std::exit(2);
-}
-
-profiles::TuningLevel tuning_by_name(const std::string& name) {
-  if (name == "default") return profiles::TuningLevel::kDefault;
-  if (name == "tcp") return profiles::TuningLevel::kTcpTuned;
-  if (name == "full") return profiles::TuningLevel::kFullyTuned;
-  std::fprintf(stderr, "unknown tuning level '%s' (default, tcp, full)\n",
-               name.c_str());
-  std::exit(2);
-}
-
-int cmd_pingpong(int argc, char** argv) {
-  std::string impl_name = "MPICH2", tuning = "full";
-  bool cluster = false;
-  double min_bytes = 1024, max_bytes = 64.0 * 1024 * 1024;
-  int rounds = 12;
-  OptionParser parser("pingpong",
-                      "Ping-pong latency/bandwidth sweep (Figs 3/5/6/7).");
-  parser.string_opt("impl", &impl_name, "implementation name")
-      .string_opt("tuning", &tuning, "tuning level: default|tcp|full")
-      .flag("cluster", &cluster, "run inside one cluster instead of the grid")
-      .real_opt("min", &min_bytes, "smallest message size (bytes)")
-      .real_opt("max", &max_bytes, "largest message size (bytes)")
-      .int_opt("rounds", &rounds, "round trips per size");
-  int status = 0;
-  if (!parse_or_exit(parser, argc, argv, &status)) return status;
-
-  const auto impl = impl_by_name(impl_name);
-  const profiles::ExperimentConfig cfg =
-      profiles::experiment(impl).tuning(tuning_by_name(tuning));
-  const auto spec = cluster ? topo::GridSpec::single_cluster(2)
-                            : topo::GridSpec::rennes_nancy(1);
-  const harness::PingpongEndpoints ends =
-      cluster ? harness::PingpongEndpoints{0, 0, 0, 1}
-              : harness::PingpongEndpoints{0, 0, 1, 0};
-  harness::PingpongOptions opt;
-  opt.sizes = harness::pow2_sizes(min_bytes, max_bytes);
-  opt.rounds = rounds;
-  std::printf("# pingpong %s (%s, %s)\n", impl.name.c_str(),
-              cluster ? "cluster" : "grid", tuning.c_str());
-  std::printf("%10s %14s %16s\n", "size", "latency (us)", "bandwidth (Mbps)");
-  for (const auto& p : harness::pingpong_sweep(spec, ends, cfg, opt)) {
-    std::printf("%10s %14.1f %16.1f\n",
-                harness::format_bytes(p.bytes).c_str(),
-                to_microseconds(p.min_one_way), p.max_bandwidth_mbps);
-  }
-  return 0;
-}
-
-int cmd_latency(int argc, char** argv) {
-  std::string impl_name = "MPICH2", tuning = "default";
-  OptionParser parser("latency", "One-way 1-byte latency (Table 4).");
-  parser.string_opt("impl", &impl_name, "implementation name")
-      .string_opt("tuning", &tuning, "tuning level: default|tcp|full");
-  int status = 0;
-  if (!parse_or_exit(parser, argc, argv, &status)) return status;
-
-  const auto impl = impl_by_name(impl_name);
-  const profiles::ExperimentConfig cfg =
-      profiles::experiment(impl).tuning(tuning_by_name(tuning));
-  const SimTime lan = harness::pingpong_min_latency(
-      topo::GridSpec::single_cluster(2), {0, 0, 0, 1}, cfg);
-  const SimTime wan = harness::pingpong_min_latency(
-      topo::GridSpec::rennes_nancy(1), {0, 0, 1, 0}, cfg);
-  std::printf("%s: cluster %.1f us, grid %.1f us (one-way)\n",
-              impl.name.c_str(), to_microseconds(lan), to_microseconds(wan));
-  return 0;
-}
-
-int cmd_nas(int argc, char** argv) {
-  std::string kname = "CG", cname = "A", impl_name = "MPICH2", tuning = "tcp";
-  int ranks = 16;
-  bool cluster = false;
-  OptionParser parser("nas", "One NPB kernel run (Figs 10-13 cells).");
-  parser.string_opt("kernel", &kname, "NPB kernel: EP|CG|MG|LU|SP|BT|IS|FT")
-      .string_opt("class", &cname, "problem class: S|A|B")
-      .int_opt("ranks", &ranks, "number of MPI ranks")
-      .string_opt("impl", &impl_name, "implementation name")
-      .string_opt("tuning", &tuning, "tuning level: default|tcp|full")
-      .flag("cluster", &cluster, "run inside one cluster instead of 8+8");
-  int status = 0;
-  if (!parse_or_exit(parser, argc, argv, &status)) return status;
-
-  npb::Kernel kernel = npb::Kernel::kCG;
-  bool found = false;
-  for (auto k : npb::all_kernels())
-    if (npb::name(k) == kname) {
-      kernel = k;
-      found = true;
-    }
-  if (!found) {
-    std::fprintf(stderr, "unknown kernel '%s'\n", kname.c_str());
-    return 2;
-  }
-  const npb::Class cls = cname == "S"   ? npb::Class::kS
-                         : cname == "B" ? npb::Class::kB
-                                        : npb::Class::kA;
-  npb::validate_ranks(kernel, ranks);
-  const auto impl = impl_by_name(impl_name);
-  const profiles::ExperimentConfig cfg =
-      profiles::experiment(impl).tuning(tuning_by_name(tuning));
-  const auto spec = cluster ? topo::GridSpec::single_cluster(ranks)
-                            : topo::GridSpec::rennes_nancy((ranks + 1) / 2);
-  const auto res = harness::run_npb(spec, ranks, kernel, cls, cfg);
-  std::printf("NPB %s class %s, %d ranks, %s, %s: %.2f s\n", kname.c_str(),
-              cname.c_str(), ranks, impl.name.c_str(),
-              cluster ? "cluster" : "grid", to_seconds(res.makespan));
-  std::printf("  p2p: %llu msgs / %.1f MB; collective: %llu msgs / %.1f MB\n",
-              static_cast<unsigned long long>(res.traffic.p2p_messages),
-              res.traffic.p2p_bytes / 1e6,
-              static_cast<unsigned long long>(res.traffic.collective_messages),
-              res.traffic.collective_bytes / 1e6);
-  return 0;
-}
-
-int cmd_ray2mesh(int argc, char** argv) {
-  std::string master_name = "rennes", impl_name = "GridMPI";
-  double rays = 1e6;
-  OptionParser parser("ray2mesh",
-                      "The paper's seismic ray tracer (Tables 6/7).");
-  parser.string_opt("master", &master_name,
-                    "master site: rennes|nancy|sophia|toulouse")
-      .real_opt("rays", &rays, "total rays to trace")
-      .string_opt("impl", &impl_name, "implementation name");
-  int status = 0;
-  if (!parse_or_exit(parser, argc, argv, &status)) return status;
-
-  const auto spec = topo::GridSpec::ray2mesh_quad(8);
-  int master = 0;
-  for (int s = 0; s < static_cast<int>(spec.sites.size()); ++s)
-    if (spec.sites[static_cast<size_t>(s)].name == master_name) master = s;
-  apps::Ray2MeshConfig app;
-  app.total_rays = static_cast<int>(rays);
-  const profiles::ExperimentConfig cfg =
-      profiles::experiment(impl_by_name(impl_name))
-          .tuning(profiles::TuningLevel::kTcpTuned);
-  const auto res = apps::run_ray2mesh(spec, master, cfg, app);
-  std::printf(
-      "ray2mesh, master=%s: compute %.1f s, merge %.1f s, total %.1f s\n",
-      master_name.c_str(), to_seconds(res.compute_time),
-      to_seconds(res.merge_time), to_seconds(res.total_time));
-  for (int s = 0; s < static_cast<int>(res.rays_per_site.size()); ++s)
-    std::printf("  %-9s %d rays\n",
-                spec.sites[static_cast<size_t>(s)].name.c_str(),
-                res.rays_per_site[static_cast<size_t>(s)]);
-  return 0;
-}
-
-int cmd_simri(int argc, char** argv) {
-  int object_n = 256, nodes = 8;
-  OptionParser parser("simri", "MRI simulator scaling run (Section 2.2.2).");
-  parser.int_opt("object", &object_n, "object grid size (NxN)")
-      .int_opt("nodes", &nodes, "worker nodes");
-  int status = 0;
-  if (!parse_or_exit(parser, argc, argv, &status)) return status;
-
-  apps::SimriConfig app;
-  app.object_n = object_n;
-  const profiles::ExperimentConfig cfg =
-      profiles::experiment(profiles::mpich2());
-  const auto res =
-      apps::run_simri(topo::GridSpec::single_cluster(16), nodes, cfg, app);
-  std::printf(
-      "simri %dx%d on %d nodes: total %.2f s, comm %.2f%%, speedup %.2f, "
-      "efficiency %.2f\n",
-      app.object_n, app.object_n, nodes, to_seconds(res.total_time),
-      res.comm_fraction * 100, res.speedup, res.efficiency);
-  return 0;
-}
-
-int cmd_slowstart(int argc, char** argv) {
-  std::string impl_name = "TCP";
-  int messages = 200;
-  bool cross_traffic = false;
-  OptionParser parser("slowstart",
-                      "Cold-connection per-message bandwidth series (Fig 9).");
-  parser.string_opt("impl", &impl_name, "implementation name")
-      .int_opt("messages", &messages, "number of back-to-back 1 MB messages")
-      .flag("cross-traffic", &cross_traffic,
-            "add bursty cross traffic on 1 Gbps uplinks");
-  int status = 0;
-  if (!parse_or_exit(parser, argc, argv, &status)) return status;
-
-  const auto impl = impl_by_name(impl_name);
-  const profiles::ExperimentConfig cfg =
-      profiles::experiment(impl).tuning(profiles::TuningLevel::kFullyTuned);
-  auto spec = topo::GridSpec::rennes_nancy(2);
-  harness::CrossTraffic cross;
-  if (cross_traffic) {
-    for (auto& site : spec.sites) site.uplink_bps = 1e9;
-    cross.burst_bytes = 24e6;
-    cross.period = milliseconds(600);
-  }
-  const auto series =
-      harness::slowstart_series(spec, {0, 0, 1, 0}, cfg, 1e6, messages,
-                                cross);
-  std::printf("# t_s,mbps (%s)\n", impl.name.c_str());
-  for (const auto& s : series)
-    std::printf("%.3f,%.1f\n", to_seconds(s.at), s.mbps);
-  return 0;
 }
 
 int cmd_audit(int argc, char** argv) {
@@ -915,12 +701,6 @@ int usage() {
       stderr,
       "usage: gridsim <command> [--options]\n"
       "commands:\n"
-      "  pingpong   ping-pong latency/bandwidth sweep (Figs 3/5/6/7)\n"
-      "  latency    one-way 1-byte latency (Table 4)\n"
-      "  nas        one NPB kernel run (Figs 10-13 cells)\n"
-      "  ray2mesh   the paper's seismic ray tracer (Tables 6/7)\n"
-      "  simri      MRI simulator scaling run\n"
-      "  slowstart  cold-connection bandwidth series (Fig 9)\n"
       "  audit      determinism auditor (trace digests)\n"
       "  bench      engine micro-benchmarks -> BENCH_*.json\n"
       "  campaign   parallel experiment campaign -> CAMPAIGN.json\n"
@@ -940,12 +720,6 @@ int main(int argc, char** argv) {
   const int opt_argc = argc - 2;
   char** opt_argv = argv + 2;
   try {
-    if (command == "pingpong") return cmd_pingpong(opt_argc, opt_argv);
-    if (command == "latency") return cmd_latency(opt_argc, opt_argv);
-    if (command == "nas") return cmd_nas(opt_argc, opt_argv);
-    if (command == "ray2mesh") return cmd_ray2mesh(opt_argc, opt_argv);
-    if (command == "simri") return cmd_simri(opt_argc, opt_argv);
-    if (command == "slowstart") return cmd_slowstart(opt_argc, opt_argv);
     if (command == "audit") return cmd_audit(opt_argc, opt_argv);
     if (command == "bench") return cmd_bench(opt_argc, opt_argv);
     if (command == "campaign") return cmd_campaign(opt_argc, opt_argv);

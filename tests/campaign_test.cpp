@@ -288,6 +288,32 @@ TEST(Campaign, RenderGroupFallsBackWithoutRenderer) {
   EXPECT_NE(text.find("chain/depth5"), std::string::npos);
 }
 
+TEST(Campaign, RendersTable4FromThePaperCatalog) {
+  // The render path of `gridsim campaign --filter 'table4/*' --render`:
+  // the paper's title, then one row per implementation in catalog order.
+  const auto& reg = scenarios::paper_registry();
+  CampaignOptions options;
+  options.filter = "table4/*";
+  const auto report = run_campaign(reg, options);
+  ASSERT_EQ(report.failures(), 0u);
+  ASSERT_EQ(report.outcomes.size(), 5u);
+
+  std::istringstream text(render_group(reg, "table4", report));
+  std::string line;
+  bool titled = false;
+  while (std::getline(text, line) && line.rfind("  ---", 0) != 0)
+    titled = titled || line.rfind("# Table 4: one-way latency", 0) == 0;
+  EXPECT_TRUE(titled);
+  std::vector<std::string> rows;
+  while (std::getline(text, line) && !line.empty()) rows.push_back(line);
+  ASSERT_EQ(rows.size(), report.outcomes.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::string& name = report.outcomes[i].name;
+    const std::string impl = name.substr(name.find('/') + 1);
+    EXPECT_EQ(rows[i].rfind("  " + impl + " ", 0), 0u) << rows[i];
+  }
+}
+
 // --- Golden-digest determinism for the fault-injection catalog -------------
 //
 // The robust/* scenarios exercise every injector (loss episodes, jitter,

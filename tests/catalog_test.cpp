@@ -253,6 +253,22 @@ TEST(Catalog, RacesExpectedCoversExactlyTheWildcardWorkloads) {
   EXPECT_EQ(declared, expected);
 }
 
+TEST(Catalog, PaperGroupsHaveRenderers) {
+  // `gridsim campaign --filter 'G/*' --render` is the only path that
+  // regenerates a figure or table; a group without a renderer would fall
+  // back to a raw per-cell metric dump.
+  const auto& reg = paper_registry();
+  for (const char* group :
+       {"fig3", "fig5", "fig6", "fig7", "fig9", "fig10", "fig11", "fig12",
+        "fig13", "table2", "table4", "table5", "table6", "table7",
+        "ablation_buffers", "ablation_collectives", "ablation_heterogeneity",
+        "ablation_pacing", "ablation_tcp_algo", "ext_mpich_g2",
+        "ext_placement", "ext_traffic_matrix"}) {
+    EXPECT_FALSE(reg.match(std::string(group) + "/*").empty()) << group;
+    EXPECT_NE(reg.renderer(group), nullptr) << group;
+  }
+}
+
 TEST(Catalog, EverySpecIsWellFormed) {
   const auto& reg = paper_registry();
   for (const auto& spec : reg.scenarios()) {

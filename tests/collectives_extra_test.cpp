@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <vector>
 
 #include "collectives/collectives.hpp"
@@ -130,6 +131,12 @@ struct SweepCase {
   const char* algo;  ///< registry name (see collectives/registry.hpp)
   double bytes;
 };
+
+// Names the case in test listings (ctest builds test names from this), so
+// the name does not depend on where the string literal was loaded.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.algo << '/' << static_cast<long long>(c.bytes);
+}
 
 class BcastSizeSweep : public ::testing::TestWithParam<SweepCase> {};
 

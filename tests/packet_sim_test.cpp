@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "simcore/simulation.hpp"
 #include "simnet/network.hpp"
@@ -42,6 +43,10 @@ struct Scenario {
   double window_limit;
   double tolerance;  // allowed relative error fluid vs packet
 };
+
+// Names the case in test listings (ctest builds test names from this), so
+// the name does not depend on where the string literal was loaded.
+void PrintTo(const Scenario& s, std::ostream* os) { *os << s.label; }
 
 class FluidVsPacket : public ::testing::TestWithParam<Scenario> {};
 

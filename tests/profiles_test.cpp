@@ -2,6 +2,8 @@
 // against the paper's published numbers (Tables 4 and 5, Figures 3/5/6/7).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "harness/pingpong.hpp"
 #include "profiles/profiles.hpp"
 
@@ -74,6 +76,10 @@ struct Table4Case {
   double wan_expected_us;   // paper: Rennes <-> Nancy
   double tolerance_us;
 };
+
+// Names the case in test listings (ctest builds test names from this), so
+// the name does not depend on where the string literal was loaded.
+void PrintTo(const Table4Case& c, std::ostream* os) { *os << c.impl; }
 
 class Table4 : public ::testing::TestWithParam<Table4Case> {};
 
