@@ -10,8 +10,8 @@
 //    pipeline, hierarchical, recursive-doubling, rabenseifner, ...).
 //  * `Selector` (selector.hpp) — picks the entry per (operation, message
 //    size, communicator size, topology shape) from the profile's
-//    declarative rules, falling back to default tables derived from the
-//    profile's `CollectiveSuite` enums:
+//    declarative rules, falling back to the default table of the
+//    per-operation policy name in the profile's `CollectiveSuite`:
 //      - WAN-oblivious defaults (MPICH2/OpenMPI-style): binomial trees for
 //        small messages, scatter + rank-ordered ring allgather for large
 //        broadcasts — the ring crosses the WAN once per step, which is the

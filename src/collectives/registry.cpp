@@ -19,11 +19,6 @@ const Entry* find_in(const std::vector<Entry>& entries,
   return nullptr;
 }
 
-[[noreturn]] void unknown(const char* op, std::string_view name) {
-  throw std::invalid_argument(std::string(op) + ": unknown algorithm '" +
-                              std::string(name) + "'");
-}
-
 }  // namespace
 
 AlgorithmRegistry::AlgorithmRegistry() {
@@ -145,83 +140,30 @@ std::vector<std::string> AlgorithmRegistry::names(
   return out;
 }
 
-// --- enum <-> name bridge --------------------------------------------------
-
-std::string_view name_of(mpi::BcastAlgo algo) {
-  switch (algo) {
-    case mpi::BcastAlgo::kBinomial:
-      return "binomial";
-    case mpi::BcastAlgo::kVanDeGeijn:
-      return "vandegeijn";
-    case mpi::BcastAlgo::kHierarchical:
-      return "hierarchical";
-    case mpi::BcastAlgo::kPipeline:
-      return "pipeline";
+const std::string& AlgorithmRegistry::canonical(mpi::CollOp op,
+                                                std::string_view name) const {
+  const std::string* found = nullptr;
+  switch (op) {
+    case mpi::CollOp::kBcast:
+      if (const auto* e = find_bcast(name)) found = &e->name;
+      break;
+    case mpi::CollOp::kAllreduce:
+      if (const auto* e = find_allreduce(name)) found = &e->name;
+      break;
+    case mpi::CollOp::kAlltoall:
+      if (const auto* e = find_alltoall(name)) found = &e->name;
+      break;
+    case mpi::CollOp::kBarrier:
+      if (const auto* e = find_barrier(name)) found = &e->name;
+      break;
   }
-  return "?";
-}
-
-std::string_view name_of(mpi::AllreduceAlgo algo) {
-  switch (algo) {
-    case mpi::AllreduceAlgo::kRecursiveDoubling:
-      return "recursive-doubling";
-    case mpi::AllreduceAlgo::kRabenseifner:
-      return "rabenseifner";
-    case mpi::AllreduceAlgo::kHierarchical:
-      return "hierarchical";
-  }
-  return "?";
-}
-
-std::string_view name_of(mpi::AlltoallAlgo algo) {
-  switch (algo) {
-    case mpi::AlltoallAlgo::kPairwise:
-      return "pairwise";
-    case mpi::AlltoallAlgo::kRing:
-      return "ring";
-    case mpi::AlltoallAlgo::kBruck:
-      return "bruck";
-  }
-  return "?";
-}
-
-std::string_view name_of(mpi::BarrierAlgo algo) {
-  switch (algo) {
-    case mpi::BarrierAlgo::kDissemination:
-      return "dissemination";
-    case mpi::BarrierAlgo::kTree:
-      return "tree";
-  }
-  return "?";
-}
-
-mpi::BcastAlgo bcast_policy_by_name(std::string_view name) {
-  if (name == "binomial") return mpi::BcastAlgo::kBinomial;
-  if (name == "vandegeijn" || name == "scatter-ring")
-    return mpi::BcastAlgo::kVanDeGeijn;
-  if (name == "hierarchical") return mpi::BcastAlgo::kHierarchical;
-  if (name == "pipeline") return mpi::BcastAlgo::kPipeline;
-  unknown("bcast", name);
-}
-
-mpi::AllreduceAlgo allreduce_policy_by_name(std::string_view name) {
-  if (name == "recursive-doubling") return mpi::AllreduceAlgo::kRecursiveDoubling;
-  if (name == "rabenseifner") return mpi::AllreduceAlgo::kRabenseifner;
-  if (name == "hierarchical") return mpi::AllreduceAlgo::kHierarchical;
-  unknown("allreduce", name);
-}
-
-mpi::AlltoallAlgo alltoall_policy_by_name(std::string_view name) {
-  if (name == "pairwise") return mpi::AlltoallAlgo::kPairwise;
-  if (name == "ring") return mpi::AlltoallAlgo::kRing;
-  if (name == "bruck") return mpi::AlltoallAlgo::kBruck;
-  unknown("alltoall", name);
-}
-
-mpi::BarrierAlgo barrier_policy_by_name(std::string_view name) {
-  if (name == "dissemination") return mpi::BarrierAlgo::kDissemination;
-  if (name == "tree") return mpi::BarrierAlgo::kTree;
-  unknown("barrier", name);
+  if (found != nullptr) return *found;
+  const std::string op_name = mpi::to_string(op);
+  std::string known;
+  for (const std::string& n : names(op_name))
+    known += (known.empty() ? "" : ", ") + n;
+  throw std::invalid_argument(op_name + ": unknown algorithm '" +
+                              std::string(name) + "' (known: " + known + ")");
 }
 
 }  // namespace gridsim::coll

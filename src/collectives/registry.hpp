@@ -9,10 +9,10 @@
 // process-wide — the algorithm set is the layer's API surface, pinned by
 // tests/coll_registry_test.cpp.
 //
-// Names are what selector rules (mpi/coll_rules.hpp) and the fluent
-// builder knobs (`profiles::experiment().bcast_algo("hierarchical")`)
-// speak; the legacy `CollectiveSuite` enums are thin aliases resolved
-// through `name_of` / `*_policy_by_name` below.
+// Names are the only way to identify a collective algorithm: selector
+// rules (mpi/coll_rules.hpp), the per-operation default policies of
+// `mpi::CollectiveSuite` and the fluent builder knobs
+// (`profiles::experiment().bcast_algo("hierarchical")`) all speak them.
 #pragma once
 
 #include <string>
@@ -81,6 +81,11 @@ class AlgorithmRegistry {
   /// operation. Test parameterisation iterates these instead of hardcoding.
   std::vector<std::string> names(const std::string& op) const;
 
+  /// Canonical name of the `op` algorithm registered under `name` or one of
+  /// its aliases; throws std::invalid_argument listing `names(op)` when
+  /// none is.
+  const std::string& canonical(mpi::CollOp op, std::string_view name) const;
+
  private:
   AlgorithmRegistry();
   std::vector<BcastAlgorithm> bcast_;
@@ -88,24 +93,5 @@ class AlgorithmRegistry {
   std::vector<AlltoallAlgorithm> alltoall_;
   std::vector<BarrierAlgorithm> barrier_;
 };
-
-// --- enum <-> name bridge --------------------------------------------------
-//
-// Each `CollectiveSuite` enum value names a *policy*: the registered
-// algorithm it reaches for large messages plus the layer's small-message
-// fallback (see selector.hpp for the default rule tables). The bridge keeps
-// existing profiles source-compatible while everything new speaks names.
-
-std::string_view name_of(mpi::BcastAlgo algo);
-std::string_view name_of(mpi::AllreduceAlgo algo);
-std::string_view name_of(mpi::AlltoallAlgo algo);
-std::string_view name_of(mpi::BarrierAlgo algo);
-
-/// Inverse mapping; accepts canonical names and aliases, throws
-/// std::invalid_argument on an unknown name.
-mpi::BcastAlgo bcast_policy_by_name(std::string_view name);
-mpi::AllreduceAlgo allreduce_policy_by_name(std::string_view name);
-mpi::AlltoallAlgo alltoall_policy_by_name(std::string_view name);
-mpi::BarrierAlgo barrier_policy_by_name(std::string_view name);
 
 }  // namespace gridsim::coll

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <string_view>
 
+#include "collectives/registry.hpp"
+#include "simcore/check.hpp"
 #include "topology/grid5000.hpp"
 
 namespace gridsim::coll {
@@ -23,80 +26,68 @@ CollRule rule(CollOp op, const char* algo, double min_bytes = 0,
   return r;
 }
 
-/// Default tables, one per legacy enum value. Each reproduces the historic
-/// switch statement: the latency algorithm at or below the cutoff, the
-/// enum's bandwidth algorithm above. Tables are total — the last rule is
+/// One default policy: the rule table an operation's registry name in a
+/// `CollectiveSuite` implies. Tables are total — the last rule is
 /// unbounded.
-const CollRules& bcast_table(mpi::BcastAlgo algo) {
-  static const CollRules binomial = {rule(CollOp::kBcast, "binomial")};
-  static const CollRules vandegeijn = {
-      rule(CollOp::kBcast, "binomial", 0, kBcastSmallCutoff),
-      rule(CollOp::kBcast, "scatter-ring")};
-  static const CollRules hierarchical = {
-      rule(CollOp::kBcast, "binomial", 0, kBcastSmallCutoff),
-      rule(CollOp::kBcast, "hierarchical")};
-  static const CollRules pipeline = {
-      rule(CollOp::kBcast, "binomial", 0, kBcastSmallCutoff),
-      rule(CollOp::kBcast, "pipeline")};
-  switch (algo) {
-    case mpi::BcastAlgo::kBinomial:
-      return binomial;
-    case mpi::BcastAlgo::kVanDeGeijn:
-      return vandegeijn;
-    case mpi::BcastAlgo::kHierarchical:
-      return hierarchical;
-    case mpi::BcastAlgo::kPipeline:
-      return pipeline;
-  }
-  return binomial;
+struct Policy {
+  CollOp op;
+  const char* name;  ///< registry canonical name
+  CollRules rules;
+};
+
+/// The algorithm alone, at every size.
+Policy single(CollOp op, const char* name) {
+  return {op, name, {rule(op, name)}};
 }
 
-const CollRules& allreduce_table(mpi::AllreduceAlgo algo) {
-  static const CollRules recdbl = {
-      rule(CollOp::kAllreduce, "recursive-doubling")};
-  static const CollRules rabenseifner = {
-      rule(CollOp::kAllreduce, "recursive-doubling", 0,
-           kAllreduceSmallCutoff),
-      rule(CollOp::kAllreduce, "rabenseifner")};
-  static const CollRules hierarchical = {
-      rule(CollOp::kAllreduce, "hierarchical")};
-  switch (algo) {
-    case mpi::AllreduceAlgo::kRecursiveDoubling:
-      return recdbl;
-    case mpi::AllreduceAlgo::kRabenseifner:
-      return rabenseifner;
-    case mpi::AllreduceAlgo::kHierarchical:
-      return hierarchical;
-  }
-  return recdbl;
+/// The latency algorithm `small` at or below `cutoff`, `name` above.
+Policy small_first(CollOp op, const char* name, const char* small,
+                   double cutoff) {
+  return {op, name, {rule(op, small, 0, cutoff), rule(op, name)}};
 }
 
-const CollRules& alltoall_table(mpi::AlltoallAlgo algo) {
-  static const CollRules pairwise = {rule(CollOp::kAlltoall, "pairwise")};
-  static const CollRules ring = {rule(CollOp::kAlltoall, "ring")};
-  static const CollRules bruck = {rule(CollOp::kAlltoall, "bruck")};
-  switch (algo) {
-    case mpi::AlltoallAlgo::kPairwise:
-      return pairwise;
-    case mpi::AlltoallAlgo::kRing:
-      return ring;
-    case mpi::AlltoallAlgo::kBruck:
-      return bruck;
-  }
-  return pairwise;
+/// Reproduces the historic cutoffs: binomial bcast up to 12 kB in front of
+/// every bandwidth broadcast, recursive-doubling up to 2 kB in front of
+/// rabenseifner only.
+const std::vector<Policy>& policies() {
+  static const std::vector<Policy> table = {
+      single(CollOp::kBcast, "binomial"),
+      small_first(CollOp::kBcast, "scatter-ring", "binomial",
+                  kBcastSmallCutoff),
+      small_first(CollOp::kBcast, "hierarchical", "binomial",
+                  kBcastSmallCutoff),
+      small_first(CollOp::kBcast, "pipeline", "binomial", kBcastSmallCutoff),
+      single(CollOp::kAllreduce, "recursive-doubling"),
+      small_first(CollOp::kAllreduce, "rabenseifner", "recursive-doubling",
+                  kAllreduceSmallCutoff),
+      single(CollOp::kAllreduce, "hierarchical"),
+      single(CollOp::kAlltoall, "pairwise"),
+      single(CollOp::kAlltoall, "ring"),
+      single(CollOp::kAlltoall, "bruck"),
+      single(CollOp::kBarrier, "dissemination"),
+      single(CollOp::kBarrier, "tree"),
+  };
+  return table;
 }
 
-const CollRules& barrier_table(mpi::BarrierAlgo algo) {
-  static const CollRules dissemination = {
-      rule(CollOp::kBarrier, "dissemination")};
-  static const CollRules tree = {rule(CollOp::kBarrier, "tree")};
-  switch (algo) {
-    case mpi::BarrierAlgo::kDissemination:
-      return dissemination;
-    case mpi::BarrierAlgo::kTree:
-      return tree;
+const CollRules* find_policy(CollOp op, std::string_view name) {
+  for (const Policy& p : policies())
+    if (p.op == op && name == p.name) return &p.rules;
+  return nullptr;
+}
+
+const std::string& policy_name(const mpi::CollectiveSuite& suite, CollOp op) {
+  switch (op) {
+    case CollOp::kBcast:
+      return suite.bcast;
+    case CollOp::kAllreduce:
+      return suite.allreduce;
+    case CollOp::kAlltoall:
+      return suite.alltoall;
+    case CollOp::kBarrier:
+      return suite.barrier;
   }
-  return dissemination;
+  return suite.bcast;
 }
 
 }  // namespace
@@ -119,17 +110,15 @@ bool Selector::matches(const CollRule& r, CollOp op, double bytes, int nranks,
 
 const CollRules& Selector::default_rules(const mpi::CollectiveSuite& suite,
                                          CollOp op) {
-  switch (op) {
-    case CollOp::kBcast:
-      return bcast_table(suite.bcast);
-    case CollOp::kAllreduce:
-      return allreduce_table(suite.allreduce);
-    case CollOp::kAlltoall:
-      return alltoall_table(suite.alltoall);
-    case CollOp::kBarrier:
-      return barrier_table(suite.barrier);
-  }
-  return bcast_table(suite.bcast);
+  const std::string& name = policy_name(suite, op);
+  if (const CollRules* rules = find_policy(op, name)) return *rules;
+  // Off the canonical-name fast path: an alias resolves to its canonical
+  // policy; an unregistered name throws, listing the known ones.
+  const CollRules* rules =
+      find_policy(op, AlgorithmRegistry::instance().canonical(op, name));
+  GRIDSIM_CHECK(rules != nullptr, "%s algorithm '%s' has no default policy",
+                mpi::to_string(op).c_str(), name.c_str());
+  return *rules;
 }
 
 const CollRule& Selector::pick(const mpi::CollectiveSuite& suite, CollOp op,

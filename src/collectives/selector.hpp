@@ -8,14 +8,15 @@
 //  1. The profile's custom rules (`suite.selector`) are scanned first —
 //     this is how experiments override per-size/per-topology behaviour
 //     without touching the algorithms.
-//  2. A call no custom rule matches falls back to the *default table*
-//     derived from the suite's legacy enums. The default tables reproduce
-//     the historic switch statements exactly (e.g. `kVanDeGeijn` = binomial
-//     at or below 12 kB, scatter-ring above), which is what keeps every
+//  2. A call no custom rule matches falls back to the *default table* of
+//     the suite's per-operation policy name. The default tables reproduce
+//     the historic cutoffs exactly (e.g. "scatter-ring" = binomial at or
+//     below 12 kB, scatter-ring above), which is what keeps every
 //     pre-registry catalog digest byte-identical.
 //
 // The default tables are total (their last rule is unbounded), so `pick`
-// always returns a rule.
+// always returns a rule. A policy name the registry does not know throws
+// std::invalid_argument listing the known names.
 #pragma once
 
 #include "mpi/coll_rules.hpp"
@@ -26,7 +27,7 @@ namespace gridsim::coll {
 
 /// Small-message cutoffs of the default tables (bytes, inclusive): at or
 /// below the cutoff the latency-optimal algorithm wins (binomial bcast,
-/// recursive-doubling allreduce); above it the enum's bandwidth algorithm
+/// recursive-doubling allreduce); above it the policy's bandwidth algorithm
 /// takes over.
 constexpr double kBcastSmallCutoff = 12 * 1024;
 constexpr double kAllreduceSmallCutoff = 2 * 1024;
@@ -34,14 +35,16 @@ constexpr double kAllreduceSmallCutoff = 2 * 1024;
 class Selector {
  public:
   /// The rule that decides (op, bytes, nranks, nsites) under `suite`:
-  /// custom rules first, then the enum-derived default table. The returned
+  /// custom rules first, then the policy's default table. The returned
   /// reference lives as long as `suite` (custom match) or the process
-  /// (default match).
+  /// (default match). Throws std::invalid_argument if the suite's policy
+  /// for `op` names no registered algorithm.
   static const mpi::CollRule& pick(const mpi::CollectiveSuite& suite,
                                    mpi::CollOp op, double bytes, int nranks,
                                    int nsites);
 
-  /// The default table the suite's enum implies for one operation.
+  /// The default table the suite's policy name implies for one operation;
+  /// aliases resolve to their canonical policy.
   static const mpi::CollRules& default_rules(const mpi::CollectiveSuite& suite,
                                              mpi::CollOp op);
 

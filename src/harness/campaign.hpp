@@ -5,10 +5,11 @@
 // sequence) per worker, no shared mutable state — then aggregates results
 // in registration order, so the report is independent of the thread
 // schedule. Each scenario is trace-digested while it runs (streaming
-// FNV-1a over every enabled trace event, O(1) memory): `--jobs N` must
-// produce byte-identical per-scenario digests to `--jobs 1`, which the
-// campaign-smoke CI job and tests/campaign_test.cpp verify with the same
-// machinery the `gridsim audit` subcommand uses.
+// FNV-1a over every enabled trace event plus each simulation's final event
+// count and virtual time, O(1) memory): `--jobs N` must produce
+// byte-identical per-scenario digests to `--jobs 1`, which
+// `scripts/check_digests.sh` and tests/campaign_test.cpp verify. This is
+// the simulator's one determinism check.
 //
 // Failure isolation: a scenario that throws (or violates its declared
 // metric schema) is reported failed with its error text; the rest of the

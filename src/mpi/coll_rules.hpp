@@ -5,8 +5,8 @@
 // use it: operation, message-size band, communicator-size band and topology
 // scope. An `ImplProfile` carries an ordered list of rules in its
 // `CollectiveSuite`; the first matching rule wins, and a call no rule
-// matches falls back to the suite's per-operation enum policy (the
-// WAN-oblivious/-aware defaults of Table 1).
+// matches falls back to the suite's per-operation default policy, itself a
+// registry name (the WAN-oblivious/-aware defaults of Table 1).
 //
 // The types are plain data on purpose: the mpi layer stores and transports
 // rules, the collectives layer interprets them. This mirrors OpenMPI's

@@ -21,41 +21,17 @@ enum class BufferStrategy {
   kSetsockopt,     ///< explicit SO_SNDBUF/SO_RCVBUF (OpenMPI btl_tcp_*buf)
 };
 
-enum class BcastAlgo {
-  kBinomial,          ///< log2(p) tree, WAN-oblivious
-  kVanDeGeijn,        ///< scatter + ring allgather (MPICH2/OpenMPI large)
-  kHierarchical,      ///< one WAN transfer per site, parallel streams
-  kPipeline,          ///< segmented chain in rank order (OpenMPI large alt)
-};
-
-enum class AllreduceAlgo {
-  kRecursiveDoubling,
-  kRabenseifner,      ///< reduce-scatter + allgather (GridMPI)
-  kHierarchical,      ///< per-site reduce, WAN exchange, per-site bcast
-};
-
-enum class AlltoallAlgo {
-  kPairwise,
-  kRing,
-  kBruck,  ///< log2(p) rounds of aggregated blocks; wins for tiny payloads
-};
-
-enum class BarrierAlgo {
-  kDissemination,  ///< log2(p) rounds, every rank active each round
-  kTree,           ///< binomial reduce + binomial broadcast of a token
-};
-
+/// The collective algorithms an implementation reaches for (Table 1). Each
+/// operation's default policy is a canonical name from the collective
+/// registry (collectives/registry.hpp); the selector turns it into a rule
+/// table with the layer's small-message fallback (collectives/selector.hpp).
 struct CollectiveSuite {
-  BcastAlgo bcast = BcastAlgo::kBinomial;
-  AllreduceAlgo allreduce = AllreduceAlgo::kRecursiveDoubling;
-  AlltoallAlgo alltoall = AlltoallAlgo::kPairwise;
-  BarrierAlgo barrier = BarrierAlgo::kDissemination;
-  /// WAN-aware algorithms split the communicator by site and use multiple
-  /// simultaneous node-to-node connections across the WAN (GridMPI [21]).
-  bool topology_aware = false;
+  std::string bcast = "binomial";
+  std::string allreduce = "recursive-doubling";
+  std::string alltoall = "pairwise";
+  std::string barrier = "dissemination";
   /// Declarative selection rules, scanned first-match-wins before the
-  /// default tables the enums above imply (collectives/selector.hpp). Empty
-  /// (the default) means the enum-derived behaviour, unchanged.
+  /// default policies above. Empty (the default) means the policies alone.
   CollRules selector;
 };
 

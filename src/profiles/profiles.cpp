@@ -31,9 +31,9 @@ mpi::ImplProfile mpich2() {
   p.send_overhead = p.recv_overhead = microseconds(2) + nanoseconds(500);
   p.eager_threshold = 256 * 1024;
   p.buffers = mpi::BufferStrategy::kAutoTune;
-  p.collectives.bcast = mpi::BcastAlgo::kVanDeGeijn;  // ring for large msgs
-  p.collectives.allreduce = mpi::AllreduceAlgo::kRabenseifner;
-  p.collectives.alltoall = mpi::AlltoallAlgo::kPairwise;
+  p.collectives.bcast = "scatter-ring";  // ring for large msgs
+  p.collectives.allreduce = "rabenseifner";
+  p.collectives.alltoall = "pairwise";
   return p;
 }
 
@@ -44,10 +44,9 @@ mpi::ImplProfile gridmpi() {
   p.eager_threshold = kInf;  // no rendez-vous for MPI_Send by default
   p.buffers = mpi::BufferStrategy::kLockToInitial;
   p.pacing = true;
-  p.collectives.bcast = mpi::BcastAlgo::kHierarchical;
-  p.collectives.allreduce = mpi::AllreduceAlgo::kHierarchical;
-  p.collectives.alltoall = mpi::AlltoallAlgo::kPairwise;  // not optimised
-  p.collectives.topology_aware = true;
+  p.collectives.bcast = "hierarchical";
+  p.collectives.allreduce = "hierarchical";
+  p.collectives.alltoall = "pairwise";  // not optimised
   return p;
 }
 
@@ -58,9 +57,9 @@ mpi::ImplProfile mpich_madeleine() {
   p.lan_extra_overhead = microseconds(3) + nanoseconds(500);
   p.eager_threshold = 128 * 1024;
   p.buffers = mpi::BufferStrategy::kAutoTune;
-  p.collectives.bcast = mpi::BcastAlgo::kBinomial;
-  p.collectives.allreduce = mpi::AllreduceAlgo::kRecursiveDoubling;
-  p.collectives.alltoall = mpi::AlltoallAlgo::kPairwise;
+  p.collectives.bcast = "binomial";
+  p.collectives.allreduce = "recursive-doubling";
+  p.collectives.alltoall = "pairwise";
   return p;
 }
 
@@ -72,9 +71,9 @@ mpi::ImplProfile openmpi() {
   p.eager_threshold_max = 32.0 * 1024 * 1024;  // btl_tcp_eager_limit cap
   p.buffers = mpi::BufferStrategy::kSetsockopt;
   p.setsockopt_bytes = 128 * 1024;
-  p.collectives.bcast = mpi::BcastAlgo::kVanDeGeijn;
-  p.collectives.allreduce = mpi::AllreduceAlgo::kRabenseifner;
-  p.collectives.alltoall = mpi::AlltoallAlgo::kPairwise;
+  p.collectives.bcast = "scatter-ring";
+  p.collectives.allreduce = "rabenseifner";
+  p.collectives.alltoall = "pairwise";
   return p;
 }
 
@@ -97,9 +96,8 @@ mpi::ImplProfile mpich_g2() {
   p.eager_threshold = 256 * 1024;  // MPICH lineage
   p.buffers = mpi::BufferStrategy::kAutoTune;
   // Topology-aware collectives: WAN < LAN < intra-machine (Section 2.1.5).
-  p.collectives.bcast = mpi::BcastAlgo::kHierarchical;
-  p.collectives.allreduce = mpi::AllreduceAlgo::kHierarchical;
-  p.collectives.topology_aware = true;
+  p.collectives.bcast = "hierarchical";
+  p.collectives.allreduce = "hierarchical";
   // "Support for large messages using several TCP streams" (GridFTP).
   p.wan_parallel_streams = 4;
   p.stripe_threshold = 256 * 1024;
@@ -134,27 +132,31 @@ ExperimentConfig configure(mpi::ImplProfile base, TuningLevel level) {
   return cfg;
 }
 
-// Name-based knobs resolve through the registry's enum bridge so
-// `.bcast_algo("vandegeijn")` and `.bcast(BcastAlgo::kVanDeGeijn)` are the
-// same profile (byte-identical digests). Defined out of line to keep the
-// collectives registry out of this widely-included header.
+// Name-based knobs store the registry's canonical name, so
+// `.bcast_algo("vandegeijn")` and `.bcast_algo("scatter-ring")` are the same
+// profile. Defined out of line to keep the collectives registry out of this
+// widely-included header.
 ExperimentBuilder& ExperimentBuilder::bcast_algo(std::string_view name) {
-  base_.collectives.bcast = coll::bcast_policy_by_name(name);
+  base_.collectives.bcast =
+      coll::AlgorithmRegistry::instance().canonical(mpi::CollOp::kBcast, name);
   return *this;
 }
 
 ExperimentBuilder& ExperimentBuilder::allreduce_algo(std::string_view name) {
-  base_.collectives.allreduce = coll::allreduce_policy_by_name(name);
+  base_.collectives.allreduce = coll::AlgorithmRegistry::instance().canonical(
+      mpi::CollOp::kAllreduce, name);
   return *this;
 }
 
 ExperimentBuilder& ExperimentBuilder::alltoall_algo(std::string_view name) {
-  base_.collectives.alltoall = coll::alltoall_policy_by_name(name);
+  base_.collectives.alltoall = coll::AlgorithmRegistry::instance().canonical(
+      mpi::CollOp::kAlltoall, name);
   return *this;
 }
 
 ExperimentBuilder& ExperimentBuilder::barrier_algo(std::string_view name) {
-  base_.collectives.barrier = coll::barrier_policy_by_name(name);
+  base_.collectives.barrier = coll::AlgorithmRegistry::instance().canonical(
+      mpi::CollOp::kBarrier, name);
   return *this;
 }
 

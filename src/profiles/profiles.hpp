@@ -100,30 +100,17 @@ class ExperimentBuilder {
     base_.pacing = on;
     return *this;
   }
-  ExperimentBuilder& bcast(mpi::BcastAlgo algo) {
-    base_.collectives.bcast = algo;
-    return *this;
-  }
-  ExperimentBuilder& allreduce(mpi::AllreduceAlgo algo) {
-    base_.collectives.allreduce = algo;
-    return *this;
-  }
-  ExperimentBuilder& alltoall(mpi::AlltoallAlgo algo) {
-    base_.collectives.alltoall = algo;
-    return *this;
-  }
-  /// Name-based algorithm selection (the registry's vocabulary, aliases
-  /// accepted): `.bcast_algo("vandegeijn")` is the modern spelling of
-  /// `.bcast(mpi::BcastAlgo::kVanDeGeijn)`. Each name selects the enum
-  /// *policy* — the named algorithm for large messages with the layer's
-  /// usual small-message fallback — so digests match the enum spelling
-  /// exactly. Throws std::invalid_argument on an unknown name.
+  /// Per-operation default policy by registry name, aliases accepted
+  /// (`.bcast_algo("vandegeijn")` stores "scatter-ring"): the named
+  /// algorithm for large messages with the layer's usual small-message
+  /// fallback (collectives/selector.hpp). Throws std::invalid_argument,
+  /// listing the known names, on an unknown name.
   ExperimentBuilder& bcast_algo(std::string_view name);
   ExperimentBuilder& allreduce_algo(std::string_view name);
   ExperimentBuilder& alltoall_algo(std::string_view name);
   ExperimentBuilder& barrier_algo(std::string_view name);
   /// Replaces the profile's declarative selector rules, scanned
-  /// first-match-wins before the enum-derived defaults
+  /// first-match-wins before the default policies
   /// (collectives/selector.hpp).
   ExperimentBuilder& selector(mpi::CollRules rules) {
     base_.collectives.selector = std::move(rules);

@@ -16,7 +16,8 @@
 //    operation's lower-bound traffic.
 //  * coll/decision-table, coll/selector-rules, coll/builder-knobs — the
 //    registry/selector introspection surface and the name-based builder
-//    knobs (enum spelling and name spelling must be indistinguishable).
+//    knobs (a policy name and the same policy spelled as raw selector
+//    rules must be indistinguishable).
 #include <algorithm>
 #include <functional>
 #include <stdexcept>
@@ -344,8 +345,8 @@ void register_decision_table(ScenarioRegistry& reg) {
   spec.group = "coll";
   spec.name = "coll/decision-table";
   spec.description =
-      "registry introspection + default-table spot checks: the enum-derived "
-      "rules reproduce the historic cutoffs";
+      "registry introspection + default-table spot checks: the default "
+      "policies reproduce the historic cutoffs";
   spec.expected_metrics = {"bcast_algos", "allreduce_algos", "alltoall_algos",
                            "barrier_algos", "rules_total"};
   spec.run = [](const ScenarioContext&) {
@@ -443,8 +444,9 @@ void register_builder_knobs(ScenarioRegistry& reg) {
   spec.group = "coll";
   spec.name = "coll/builder-knobs";
   spec.description =
-      "name-based builder knobs are byte-identical to the enum spelling "
-      "(.bcast_algo(\"vandegeijn\") == .bcast(kVanDeGeijn))";
+      "name-based builder knobs are byte-identical to the same policy "
+      "spelled as raw selector rules (.bcast_algo(\"vandegeijn\") == "
+      ".selector({binomial <= 12 kB, scatter-ring}))";
   spec.expected_metrics = {"makespan_s", "delta_s"};
   spec.ranks = kCollRanks;
   spec.run = [](const ScenarioContext& ctx) {
@@ -454,11 +456,19 @@ void register_builder_knobs(ScenarioRegistry& reg) {
         co_await coll::allreduce(r, 32e3);
       }
     };
-    const double by_enum =
+    const mpi::CollRules rules = {
+        {.op = CollOp::kBcast,
+         .algo = "binomial",
+         .max_bytes = coll::kBcastSmallCutoff},
+        {.op = CollOp::kBcast, .algo = "scatter-ring"},
+        {.op = CollOp::kAllreduce,
+         .algo = "recursive-doubling",
+         .max_bytes = coll::kAllreduceSmallCutoff},
+        {.op = CollOp::kAllreduce, .algo = "rabenseifner"}};
+    const double by_rules =
         run_timed(ctx, topo::GridSpec::rennes_nancy(8), kCollRanks,
                   profiles::experiment(profiles::mpich_madeleine())
-                      .bcast(mpi::BcastAlgo::kVanDeGeijn)
-                      .allreduce(mpi::AllreduceAlgo::kRabenseifner),
+                      .selector(rules),
                   body);
     const double by_name =
         run_timed(ctx, topo::GridSpec::rennes_nancy(8), kCollRanks,
@@ -466,9 +476,9 @@ void register_builder_knobs(ScenarioRegistry& reg) {
                       .bcast_algo("vandegeijn")
                       .allreduce_algo("rabenseifner"),
                   body);
-    if (by_enum != by_name)
+    if (by_rules != by_name)
       throw std::runtime_error(
-          "name-based knobs diverged from the enum spelling");
+          "name-based knobs diverged from the raw selector rules");
     bool threw = false;
     try {
       profiles::experiment(profiles::mpich2()).bcast_algo("no-such-algo");
@@ -479,8 +489,8 @@ void register_builder_knobs(ScenarioRegistry& reg) {
       throw std::runtime_error("unknown algorithm name did not throw");
     ScenarioResult res;
     res.add("makespan_s", by_name, "s");
-    res.add("delta_s", by_enum - by_name, "s");
-    res.note = "enum and name spellings identical at " +
+    res.add("delta_s", by_rules - by_name, "s");
+    res.note = "rule and name spellings identical at " +
                harness::format_double(by_name, 4) + " s";
     return res;
   };

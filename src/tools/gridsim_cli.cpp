@@ -1,7 +1,5 @@
 // gridsim — command-line driver for the simulator.
 //
-//   gridsim audit     [--scenario pingpong|nas|ray2mesh|all] [--seed N]
-//                     [--expect HEXDIGEST]
 //   gridsim bench     [--quick] [--out DIR] [--reps N]
 //   gridsim campaign  [--filter GLOB] [--jobs N] [--out DIR] [--seed N]
 //                     [--timeout-s N] [--render] [--list]
@@ -16,10 +14,6 @@
 // Every subcommand parses its flags through the typed OptionParser
 // (tools/cli.hpp): declared options with defaults, `--key=value`, strict
 // numeric validation, unknown-flag errors and generated `--help`.
-//
-// `audit` is the determinism auditor: it runs each scenario twice with the
-// same seed, hashes the structured event trace and exits non-zero if the
-// two digests diverge (or if --expect names a different digest).
 //
 // `bench` runs the engine micro-benchmarks (event-queue churn, coroutine
 // ping-pong, packet-level TCP) and a representative figure subset, and
@@ -75,7 +69,6 @@
 #include "collectives/registry.hpp"
 #include "collectives/selector.hpp"
 #include "harness/campaign.hpp"
-#include "harness/determinism.hpp"
 #include "profiles/profiles.hpp"
 #include "scenarios/catalog.hpp"
 #include "simlint/lint.hpp"
@@ -114,56 +107,6 @@ mpi::ImplProfile impl_by_name(const std::string& name) {
                "MPICH-Madeleine, OpenMPI, MPICH-G2)\n",
                name.c_str());
   std::exit(2);
-}
-
-int cmd_audit(int argc, char** argv) {
-  std::string which = "all", expect;
-  std::uint64_t seed = 1;
-  OptionParser parser(
-      "audit",
-      "Determinism auditor: run each scenario twice, compare trace digests.");
-  parser.string_opt("scenario", &which,
-                    "scenario name (pingpong|nas|ray2mesh) or 'all'")
-      .u64_opt("seed", &seed, "workload seed folded into both runs")
-      .string_opt("expect", &expect, "expected digest (16 hex digits)");
-  int status = 0;
-  if (!parse_or_exit(parser, argc, argv, &status)) return status;
-
-  std::vector<std::string> scenarios;
-  if (which == "all") {
-    scenarios = harness::audit_scenario_names();
-  } else {
-    scenarios.push_back(which);
-  }
-  bool ok = true;
-  for (const auto& name : scenarios) {
-    const auto res = harness::audit_determinism(name, seed);
-    std::printf("audit %-9s seed=%" PRIu64 " events=%" PRIu64
-                " digest=%016" PRIx64 " %s\n",
-                name.c_str(), seed, res.first.events, res.first.digest,
-                res.deterministic ? "DETERMINISTIC" : "DIVERGED");
-    if (!res.deterministic) {
-      std::fprintf(stderr,
-                   "audit %s: second run digest=%016" PRIx64 " events=%" PRIu64
-                   " (first run digest=%016" PRIx64 " events=%" PRIu64 ")\n",
-                   name.c_str(), res.second.digest, res.second.events,
-                   res.first.digest, res.first.events);
-      ok = false;
-      continue;
-    }
-    if (!expect.empty()) {
-      const std::uint64_t want =
-          std::strtoull(expect.c_str(), nullptr, 16);
-      if (res.first.digest != want) {
-        std::fprintf(stderr,
-                     "audit %s: digest %016" PRIx64 " != expected %016" PRIx64
-                     "\n",
-                     name.c_str(), res.first.digest, want);
-        ok = false;
-      }
-    }
-  }
-  return ok ? 0 : 1;
 }
 
 int cmd_bench(int argc, char** argv) {
@@ -701,7 +644,6 @@ int usage() {
       stderr,
       "usage: gridsim <command> [--options]\n"
       "commands:\n"
-      "  audit      determinism auditor (trace digests)\n"
       "  bench      engine micro-benchmarks -> BENCH_*.json\n"
       "  campaign   parallel experiment campaign -> CAMPAIGN.json\n"
       "  mc         ordering model-checker over wildcard matches -> MC.json\n"
@@ -720,7 +662,6 @@ int main(int argc, char** argv) {
   const int opt_argc = argc - 2;
   char** opt_argv = argv + 2;
   try {
-    if (command == "audit") return cmd_audit(opt_argc, opt_argv);
     if (command == "bench") return cmd_bench(opt_argc, opt_argv);
     if (command == "campaign") return cmd_campaign(opt_argc, opt_argv);
     if (command == "mc") return cmd_mc(opt_argc, opt_argv);

@@ -69,44 +69,27 @@ TEST(Registry, EntriesCarryMetadataAndRunners) {
   EXPECT_TRUE(reg.find_allreduce("hierarchical")->wan_aware);
 }
 
-TEST(Registry, PolicyNameBridgeRoundTrips) {
-  EXPECT_EQ(bcast_policy_by_name("vandegeijn"), mpi::BcastAlgo::kVanDeGeijn);
-  EXPECT_EQ(bcast_policy_by_name("scatter-ring"),
-            mpi::BcastAlgo::kVanDeGeijn);
-  EXPECT_EQ(name_of(mpi::BcastAlgo::kVanDeGeijn), "vandegeijn");
-  for (auto algo :
-       {mpi::BcastAlgo::kBinomial, mpi::BcastAlgo::kVanDeGeijn,
-        mpi::BcastAlgo::kHierarchical, mpi::BcastAlgo::kPipeline})
-    EXPECT_EQ(bcast_policy_by_name(name_of(algo)), algo);
-  for (auto algo :
-       {mpi::AllreduceAlgo::kRecursiveDoubling,
-        mpi::AllreduceAlgo::kRabenseifner, mpi::AllreduceAlgo::kHierarchical})
-    EXPECT_EQ(allreduce_policy_by_name(name_of(algo)), algo);
-  for (auto algo : {mpi::AlltoallAlgo::kPairwise, mpi::AlltoallAlgo::kRing,
-                    mpi::AlltoallAlgo::kBruck})
-    EXPECT_EQ(alltoall_policy_by_name(name_of(algo)), algo);
-  for (auto algo :
-       {mpi::BarrierAlgo::kDissemination, mpi::BarrierAlgo::kTree})
-    EXPECT_EQ(barrier_policy_by_name(name_of(algo)), algo);
-  EXPECT_THROW(bcast_policy_by_name("quantum"), std::invalid_argument);
-  EXPECT_THROW(allreduce_policy_by_name(""), std::invalid_argument);
-}
-
 // --- selector decision rules ---------------------------------------------
 
 TEST(Selector, DefaultTablesHonourTheCutoffs) {
-  mpi::CollectiveSuite suite;  // kVanDeGeijn bcast, kRabenseifner allreduce
-  suite.bcast = bcast_policy_by_name("vandegeijn");
-  suite.allreduce = allreduce_policy_by_name("rabenseifner");
+  mpi::CollectiveSuite suite;
   auto chosen = [&suite](CollOp op, double bytes) {
     return Selector::pick(suite, op, bytes, 16, 1).algo;
   };
-  EXPECT_EQ(chosen(CollOp::kBcast, kBcastSmallCutoff), "binomial");
-  EXPECT_EQ(chosen(CollOp::kBcast, kBcastSmallCutoff + 1), "scatter-ring");
+  // Binomial up to 12 kB in front of every bandwidth broadcast.
+  for (const char* bcast : {"scatter-ring", "hierarchical", "pipeline"}) {
+    suite.bcast = bcast;
+    EXPECT_EQ(chosen(CollOp::kBcast, kBcastSmallCutoff), "binomial") << bcast;
+    EXPECT_EQ(chosen(CollOp::kBcast, kBcastSmallCutoff + 1), bcast);
+  }
+  // Recursive-doubling up to 2 kB, but only in front of rabenseifner.
+  suite.allreduce = "rabenseifner";
   EXPECT_EQ(chosen(CollOp::kAllreduce, kAllreduceSmallCutoff),
             "recursive-doubling");
   EXPECT_EQ(chosen(CollOp::kAllreduce, kAllreduceSmallCutoff + 1),
             "rabenseifner");
+  suite.allreduce = "hierarchical";
+  EXPECT_EQ(chosen(CollOp::kAllreduce, 1), "hierarchical");
 }
 
 TEST(Selector, DefaultTablesAreTotal) {
@@ -141,7 +124,7 @@ TEST(Selector, RankBandsAndFallback) {
                              .min_ranks = 32}};
   EXPECT_EQ(Selector::pick(suite, CollOp::kAlltoall, 1e3, 64, 1).algo,
             "bruck");
-  // Below the rank band no custom rule matches: enum default (pairwise).
+  // Below the rank band no custom rule matches: default policy (pairwise).
   EXPECT_EQ(Selector::pick(suite, CollOp::kAlltoall, 1e3, 8, 1).algo,
             "pairwise");
 }
@@ -162,6 +145,34 @@ TEST(Selector, TopologyScopeNeedsSites) {
             "scatter-ring");
 }
 
+TEST(Selector, EveryRegisteredAlgorithmIsAPolicy) {
+  const auto& reg = AlgorithmRegistry::instance();
+  for (auto op : {CollOp::kBcast, CollOp::kAllreduce, CollOp::kAlltoall,
+                  CollOp::kBarrier}) {
+    for (const std::string& name : reg.names(mpi::to_string(op))) {
+      mpi::CollectiveSuite suite;
+      suite.bcast = suite.allreduce = suite.alltoall = suite.barrier = name;
+      // Above every cutoff the policy's own algorithm is the one picked.
+      EXPECT_EQ(Selector::pick(suite, op, 1e9, 16, 2).algo, name)
+          << mpi::to_string(op);
+    }
+  }
+}
+
+TEST(Selector, UnregisteredPolicyNameThrows) {
+  mpi::CollectiveSuite suite;
+  suite.bcast = "quantum";
+  EXPECT_THROW((void)Selector::pick(suite, CollOp::kBcast, 1e3, 16, 1),
+               std::invalid_argument);
+  // Other operations keep their registered defaults.
+  EXPECT_EQ(Selector::pick(suite, CollOp::kAllreduce, 1e3, 16, 1).algo,
+            "recursive-doubling");
+  // An alias set directly resolves to its canonical policy.
+  suite.bcast = "vandegeijn";
+  EXPECT_EQ(Selector::pick(suite, CollOp::kBcast, 1e6, 16, 1).algo,
+            "scatter-ring");
+}
+
 TEST(Selector, EffectiveRulesListsCustomThenDefaults) {
   mpi::CollectiveSuite suite;
   suite.selector = {CollRule{.op = CollOp::kBcast, .algo = "pipeline"}};
@@ -174,19 +185,29 @@ TEST(Selector, EffectiveRulesListsCustomThenDefaults) {
 
 // --- fluent builder knobs --------------------------------------------------
 
-TEST(BuilderKnobs, NamesResolveToEnumPolicies) {
+TEST(BuilderKnobs, NamesResolveToCanonicalPolicies) {
   const profiles::ExperimentConfig cfg = profiles::experiment(profiles::mpich2())
                                              .bcast_algo("vandegeijn")
                                              .allreduce_algo("rabenseifner")
                                              .alltoall_algo("bruck")
                                              .barrier_algo("tree");
-  EXPECT_EQ(cfg.profile.collectives.bcast, mpi::BcastAlgo::kVanDeGeijn);
-  EXPECT_EQ(cfg.profile.collectives.allreduce,
-            mpi::AllreduceAlgo::kRabenseifner);
-  EXPECT_EQ(cfg.profile.collectives.alltoall, mpi::AlltoallAlgo::kBruck);
-  EXPECT_EQ(cfg.profile.collectives.barrier, mpi::BarrierAlgo::kTree);
-  EXPECT_THROW(profiles::experiment(profiles::mpich2()).bcast_algo("nope"),
-               std::invalid_argument);
+  EXPECT_EQ(cfg.profile.collectives.bcast, "scatter-ring");
+  EXPECT_EQ(cfg.profile.collectives.allreduce, "rabenseifner");
+  EXPECT_EQ(cfg.profile.collectives.alltoall, "bruck");
+  EXPECT_EQ(cfg.profile.collectives.barrier, "tree");
+}
+
+TEST(BuilderKnobs, UnknownNameListsTheKnownOnes) {
+  try {
+    profiles::experiment(profiles::mpich2()).bcast_algo("nope");
+    FAIL() << "unknown name did not throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'nope'"), std::string::npos) << what;
+    for (const std::string& name :
+         AlgorithmRegistry::instance().names("bcast"))
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+  }
 }
 
 TEST(BuilderKnobs, SelectorKnobInstallsRules) {

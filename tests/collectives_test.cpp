@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "collectives/collectives.hpp"
+#include "collectives/registry.hpp"
 #include "mpi/mpi.hpp"
 #include "simcore/simulation.hpp"
 #include "topology/grid5000.hpp"
@@ -97,7 +99,9 @@ Task<void> repeated_allreduce_body(Rank& r, double bytes, int iters) {
   for (int i = 0; i < iters; ++i) co_await allreduce(r, bytes);
 }
 
-class BcastAlgos : public ::testing::TestWithParam<const char*> {};
+// One case per registered algorithm (gtest prints the name, so ctest lists
+// `All/BcastAlgos.CompletesAndMovesEnoughBytes/"binomial"`).
+class BcastAlgos : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BcastAlgos, CompletesAndMovesEnoughBytes) {
   mpi::TrafficStats stats;
@@ -111,9 +115,9 @@ TEST_P(BcastAlgos, CompletesAndMovesEnoughBytes) {
   EXPECT_EQ(stats.p2p_messages, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(All, BcastAlgos,
-                         ::testing::Values("binomial", "scatter-ring",
-                                           "hierarchical"));
+INSTANTIATE_TEST_SUITE_P(
+    All, BcastAlgos,
+    ::testing::ValuesIn(AlgorithmRegistry::instance().names("bcast")));
 
 TEST(Collectives, BcastNonRootRootWorks) {
   const SimTime end = run_spmd(
@@ -150,7 +154,7 @@ TEST(Collectives, HierarchicalBcastOnSingleClusterStillWorks) {
   EXPECT_LT(end, 1_s);
 }
 
-class AllreduceAlgos : public ::testing::TestWithParam<const char*> {};
+class AllreduceAlgos : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AllreduceAlgos, CompletesOnPow2AndNonPow2) {
   for (int nranks : {4, 6, 16}) {
@@ -162,9 +166,9 @@ TEST_P(AllreduceAlgos, CompletesOnPow2AndNonPow2) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(All, AllreduceAlgos,
-                         ::testing::Values("recursive-doubling",
-                                           "rabenseifner", "hierarchical"));
+INSTANTIATE_TEST_SUITE_P(
+    All, AllreduceAlgos,
+    ::testing::ValuesIn(AlgorithmRegistry::instance().names("allreduce")));
 
 TEST(Collectives, HierarchicalAllreduceReducesWanTraffic) {
   // The hierarchical algorithm's benefit with two sites is WAN traffic: only

@@ -1,8 +1,10 @@
-// Tier-1 determinism audits: every auditable scenario must produce a
-// bit-identical event-trace digest across repeated runs, and the digest for
-// a fixed seed is pinned so silent behavioural drift of the engine shows up
-// as a test failure rather than as quietly different paper numbers.
+// Tests for the trace-digest fold behind every campaign digest: each field
+// of a trace event must move the digest, and only recorded events fold.
+// The catalog-level determinism checks (repeat runs, pinned digests) live
+// in tests/campaign_test.cpp.
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -12,84 +14,56 @@
 namespace gridsim::harness {
 namespace {
 
-class DeterminismAudit : public ::testing::TestWithParam<const char*> {};
+constexpr std::uint64_t kBasis = 0x6A09E667F3BCC908ULL;
 
-TEST_P(DeterminismAudit, RepeatedRunsProduceIdenticalDigests) {
-  const AuditResult res = audit_determinism(GetParam(), /*seed=*/1);
-  EXPECT_TRUE(res.deterministic)
-      << res.scenario << ": first digest " << std::hex << res.first.digest
-      << " second digest " << res.second.digest;
-  EXPECT_GT(res.first.events, 0u);
-  EXPECT_GT(res.first.final_time, 0);
-  EXPECT_EQ(res.first.events, res.second.events);
-  EXPECT_EQ(res.first.final_time, res.second.final_time);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllScenarios, DeterminismAudit,
-                         ::testing::Values("pingpong", "nas", "ray2mesh"),
-                         [](const auto& param_info) {
-                           return std::string(param_info.param);
-                         });
-
-TEST(DeterminismAudit, UnknownScenarioThrows) {
-  EXPECT_THROW(run_audit_scenario("no-such-scenario", 1),
-               std::invalid_argument);
-}
-
-TEST(DeterminismAudit, SeedSaltsTheDigest) {
-  const AuditRun a = run_audit_scenario("pingpong", 1);
-  const AuditRun b = run_audit_scenario("pingpong", 2);
-  EXPECT_NE(a.digest, b.digest);
-  // The seed salts the fold; the simulated behaviour itself is unchanged.
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.final_time, b.final_time);
-}
-
-// Pinned digest for a fixed seed. If this fails, the engine's event
-// schedule changed: either an intentional model change (re-pin the value
-// and say so in the commit) or a nondeterminism/ordering bug (fix it).
-TEST(DeterminismAudit, PingpongDigestIsPinnedForSeed42) {
-  const AuditRun run = run_audit_scenario("pingpong", 42);
-  EXPECT_EQ(run.digest, 0xfc83aed62525d432ULL)
-      << "actual digest: " << std::hex << run.digest;
-  EXPECT_EQ(run.events, 106u);
+std::uint64_t digest_of(const TraceEvent& e, std::uint64_t basis = kBasis) {
+  std::uint64_t h = basis;
+  fold_trace_event(h, e);
+  return h;
 }
 
 TEST(TraceDigest, SensitiveToEveryEventField) {
-  Tracer base;
-  base.enable(TraceKind::kMessage);
-  base.record(10, TraceKind::kMessage, "p2p", 1024.0, "x");
+  const TraceEvent base{10, TraceKind::kMessage, "p2p", 1024.0, "x"};
+  const std::uint64_t d0 = digest_of(base);
 
-  const std::uint64_t d0 = trace_digest(base);
+  TraceEvent changed = base;
+  changed.at = 11;
+  EXPECT_NE(digest_of(changed), d0);
 
-  Tracer changed_time;
-  changed_time.enable(TraceKind::kMessage);
-  changed_time.record(11, TraceKind::kMessage, "p2p", 1024.0, "x");
-  EXPECT_NE(trace_digest(changed_time), d0);
+  changed = base;
+  changed.kind = TraceKind::kPhase;
+  EXPECT_NE(digest_of(changed), d0);
 
-  Tracer changed_subject;
-  changed_subject.enable(TraceKind::kMessage);
-  changed_subject.record(10, TraceKind::kMessage, "collective", 1024.0, "x");
-  EXPECT_NE(trace_digest(changed_subject), d0);
+  changed = base;
+  changed.subject = "collective";
+  EXPECT_NE(digest_of(changed), d0);
 
-  Tracer changed_value_ulp;
-  changed_value_ulp.enable(TraceKind::kMessage);
-  changed_value_ulp.record(10, TraceKind::kMessage, "p2p",
-                           std::nextafter(1024.0, 2048.0), "x");
-  EXPECT_NE(trace_digest(changed_value_ulp), d0);
+  changed = base;
+  changed.value = std::nextafter(1024.0, 2048.0);
+  EXPECT_NE(digest_of(changed), d0);
 
-  Tracer changed_detail;
-  changed_detail.enable(TraceKind::kMessage);
-  changed_detail.record(10, TraceKind::kMessage, "p2p", 1024.0, "y");
-  EXPECT_NE(trace_digest(changed_detail), d0);
+  changed = base;
+  changed.detail = "y";
+  EXPECT_NE(digest_of(changed), d0);
 
-  // Same events, different basis (seed) -> different digest.
-  EXPECT_NE(trace_digest(base, 1), trace_digest(base, 2));
+  // Same event, different basis (seed) -> different digest.
+  EXPECT_NE(digest_of(base, 1), digest_of(base, 2));
 }
 
 TEST(TraceDigest, EmptyTraceDigestIsTheBasis) {
-  Tracer empty;
-  EXPECT_EQ(trace_digest(empty, 123), 123u);
+  // The campaign folds through a Tracer observer with storage off; events
+  // of a disabled kind never reach it, so the digest stays at the basis.
+  Tracer tracer;
+  tracer.set_storage(false);
+  std::uint64_t h = 123;
+  tracer.set_observer([&h](const TraceEvent& e) { fold_trace_event(h, e); });
+  tracer.record(10, TraceKind::kMessage, "p2p", 1024.0, "x");
+  EXPECT_EQ(h, 123u);
+  tracer.enable(TraceKind::kMessage);
+  tracer.record(10, TraceKind::kMessage, "p2p", 1024.0, "x");
+  EXPECT_EQ(h, digest_of(TraceEvent{10, TraceKind::kMessage, "p2p", 1024.0,
+                                    "x"},
+                         123));
 }
 
 }  // namespace

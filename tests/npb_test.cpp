@@ -3,11 +3,18 @@
 // and qualitative grid-sensitivity ordering.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "harness/npb_campaign.hpp"
 #include "npb/npb.hpp"
 #include "profiles/profiles.hpp"
 
 namespace gridsim::npb {
+
+// Found by ADL, so gtest prints a kernel parameter as its NPB name and the
+// discovered ctest names read `Sweep/AllKernelsClassS.RunsOnClusterAndGrid/CG`.
+void PrintTo(Kernel k, std::ostream* os) { *os << name(k); }
+
 namespace {
 
 using harness::run_npb;

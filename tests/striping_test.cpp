@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "collectives/registry.hpp"
 #include "mpi/mpi.hpp"
 #include "profiles/profiles.hpp"
 #include "simcore/simulation.hpp"
@@ -129,7 +130,11 @@ TEST(Striping, ProfileWiring) {
   const auto p = profiles::mpich_g2();
   EXPECT_EQ(p.name, "MPICH-G2");
   EXPECT_EQ(p.wan_parallel_streams, 4);
-  EXPECT_TRUE(p.collectives.topology_aware);
+  // Topology-aware collectives: the broadcast policy splits by site.
+  const auto* bcast =
+      coll::AlgorithmRegistry::instance().find_bcast(p.collectives.bcast);
+  ASSERT_NE(bcast, nullptr);
+  EXPECT_TRUE(bcast->wan_aware);
   // Not one of the paper's four evaluated implementations.
   for (const auto& q : profiles::all_implementations())
     EXPECT_NE(q.name, "MPICH-G2");
