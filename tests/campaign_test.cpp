@@ -402,6 +402,23 @@ TEST(DeterminismAudit, SeedSaltsTheDigest) {
   EXPECT_EQ(a.outcomes[0].final_time, b.outcomes[0].final_time);
 }
 
+// Pinned digest for a non-default seed. If this fails, the engine's event
+// schedule or the seed fold changed: either an intentional model change
+// (re-pin the value and say so in the commit) or an ordering bug (fix it).
+TEST(DeterminismAudit, PingpongDigestIsPinnedForSeed42) {
+  const auto& reg = scenarios::paper_registry();
+  CampaignOptions options;
+  options.filter = "table4/MPICH2";
+  options.seed = 42;
+  const auto run = run_campaign(reg, options);
+  ASSERT_EQ(run.outcomes.size(), 1u);
+  const ScenarioOutcome& o = run.outcomes[0];
+  EXPECT_TRUE(o.ok) << o.error;
+  EXPECT_EQ(o.digest, 0xbe01ed20fbfa7404ULL)
+      << "actual digest: " << std::hex << o.digest;
+  EXPECT_EQ(o.trace_events, 80u);
+}
+
 // --- Golden-digest determinism for the fault-injection catalog -------------
 //
 // The robust/* scenarios exercise every injector (loss episodes, jitter,
