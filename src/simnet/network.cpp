@@ -39,7 +39,37 @@ SolverMode initial_solver_mode() {
 }
 }  // namespace
 
-Network::Network(Simulation& sim) : sim_(sim), mode_(initial_solver_mode()) {}
+Route::Route(std::initializer_list<LinkId> ls) {
+  if (ls.size() > kMaxRouteLinks)
+    throw std::invalid_argument("route longer than kMaxRouteLinks links");
+  std::copy(ls.begin(), ls.end(), links.begin());
+  count = ls.size();
+}
+
+/// The add_route table of a hand-built network.
+class Network::RouteTable final : public RouteSource {
+ public:
+  bool find(HostId src, HostId dst, Route& out) const override {
+    auto it = routes_.find(key(src, dst));
+    if (it == routes_.end()) return false;
+    out = it->second;
+    return true;
+  }
+  void add(HostId src, HostId dst, const Route& r) { routes_[key(src, dst)] = r; }
+
+ private:
+  static std::uint64_t key(HostId src, HostId dst) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
+            << 32) |
+           static_cast<std::uint32_t>(dst);
+  }
+  std::unordered_map<std::uint64_t, Route> routes_;
+};
+
+Network::Network(Simulation& sim)
+    : sim_(sim),
+      routes_(std::make_unique<RouteTable>()),
+      mode_(initial_solver_mode()) {}
 
 HostId Network::add_host(std::string name, double cpu_speed) {
   hosts_.push_back(Host{std::move(name), cpu_speed});
@@ -62,8 +92,13 @@ LinkId Network::add_link(std::string name, double capacity_bytes_per_sec,
   return static_cast<LinkId>(links_.size()) - 1;
 }
 
-void Network::add_route(HostId src, HostId dst, std::vector<LinkId> links,
-                        bool symmetric) {
+void Network::add_route(HostId src, HostId dst,
+                        const std::vector<LinkId>& links, bool symmetric) {
+  auto* table = dynamic_cast<RouteTable*>(routes_.get());
+  if (table == nullptr)
+    throw std::logic_error("add_route on a network with computed routes");
+  if (links.size() > kMaxRouteLinks)
+    throw std::invalid_argument("route longer than kMaxRouteLinks links");
   // The bipartite index keeps one (flow, position) entry per link crossing,
   // so a route visiting the same link twice would corrupt its swap-pop
   // bookkeeping — and means a modelling error anyway.
@@ -72,42 +107,54 @@ void Network::add_route(HostId src, HostId dst, std::vector<LinkId> links,
       if (links[i] == links[j])
         throw std::invalid_argument("route crosses link '" +
                                     link(links[i]).name + "' twice");
+  for (LinkId l : links) link(l);  // throws on an unknown link
   Route r;
-  r.links = links;
-  for (LinkId l : links) r.latency += link(l).latency;
-  routes_[route_key(src, dst)] = r;
+  std::copy(links.begin(), links.end(), r.links.begin());
+  r.count = links.size();
+  table->add(src, dst, r);
   if (symmetric) {
-    Route back;
-    back.links.assign(links.rbegin(), links.rend());
-    back.latency = r.latency;
-    routes_[route_key(dst, src)] = std::move(back);
+    std::reverse(r.links.begin(), r.links.begin() + r.count);
+    table->add(dst, src, r);
   }
 }
 
-bool Network::has_route(HostId src, HostId dst) const {
-  return routes_.count(route_key(src, dst)) != 0;
+void Network::set_route_source(std::unique_ptr<RouteSource> source) {
+  GRIDSIM_CHECK(flows_.empty(),
+                "the route source can only change while no flows are active");
+  routes_ = std::move(source);
 }
 
-const Route& Network::route(HostId src, HostId dst) const {
-  auto it = routes_.find(route_key(src, dst));
-  if (it == routes_.end())
+bool Network::has_route(HostId src, HostId dst) const {
+  Route r;
+  return routes_->find(src, dst, r);
+}
+
+Route Network::route(HostId src, HostId dst) const {
+  Route r;
+  if (!routes_->find(src, dst, r))
     throw std::out_of_range("no route between " +
                             hosts_.at(static_cast<size_t>(src)).name + " and " +
                             hosts_.at(static_cast<size_t>(dst)).name);
-  return it->second;
+  return r;
+}
+
+SimTime Network::path_latency(HostId src, HostId dst) const {
+  SimTime sum = 0;
+  for (LinkId l : route(src, dst)) sum += links_[static_cast<size_t>(l)].latency;
+  return sum;
 }
 
 double Network::path_capacity(HostId src, HostId dst) const {
-  const Route& r = route(src, dst);
   double cap = kUnlimitedRate;
-  for (LinkId l : r.links) cap = std::min(cap, link(l).capacity);
+  for (LinkId l : route(src, dst))
+    cap = std::min(cap, links_[static_cast<size_t>(l)].capacity);
   return cap;
 }
 
 double Network::path_queue(HostId src, HostId dst) const {
-  const Route& r = route(src, dst);
   double q = std::numeric_limits<double>::infinity();
-  for (LinkId l : r.links) q = std::min(q, link(l).queue_bytes);
+  for (LinkId l : route(src, dst))
+    q = std::min(q, links_[static_cast<size_t>(l)].queue_bytes);
   return std::isfinite(q) ? q : 0.0;
 }
 
@@ -123,25 +170,16 @@ void Network::set_link_capacity(LinkId l, double capacity_bytes_per_sec) {
 
 void Network::set_link_latency(LinkId l, SimTime latency) {
   if (latency < 0) throw std::invalid_argument("link latency must be >= 0");
-  Link& link_ref = links_.at(static_cast<size_t>(l));
-  if (link_ref.latency == latency) return;
-  link_ref.latency = latency;
-  for (auto& [key, r] : routes_) {
-    if (std::find(r.links.begin(), r.links.end(), l) == r.links.end())
-      continue;
-    SimTime sum = 0;
-    for (LinkId rl : r.links) sum += links_[static_cast<size_t>(rl)].latency;
-    r.latency = sum;
-  }
+  links_.at(static_cast<size_t>(l)).latency = latency;
 }
 
 FlowId Network::start_flow(HostId src, HostId dst, double bytes,
                            double rate_cap, std::function<void()> on_complete) {
   if (bytes < 0) throw std::invalid_argument("negative flow size");
-  const Route& r = route(src, dst);  // throws if unknown
+  const Route r = route(src, dst);  // throws if unknown
   Flow f;
   f.id = next_flow_id_++;
-  f.links = r.links;
+  f.links.assign(r.begin(), r.end());
   f.remaining = bytes;
   f.rate_cap = std::max(rate_cap, kMinRate);
   f.on_complete = std::move(on_complete);

@@ -19,15 +19,26 @@
 // bit-identical rates, a guarantee enforced by the differential churn
 // suite and the campaign-digest oracle check in CI.
 //
+// Routes come from one RouteSource behind `route()`. A hand-built network
+// registers each route with `add_route` (a hash table); a topology whose
+// routes follow from its structure installs a source that computes them on
+// demand (topo::Grid). Either way a Route holds its links inline and its
+// latency is summed from the links' current values, so a lookup neither
+// allocates nor goes stale when a link's latency changes.
+//
 // This is the same modelling level as SimGrid's network model: accurate for
 // the first-order effects the paper studies (window-limited throughput on
 // long fat networks, fair sharing of a WAN bottleneck, transfer times),
 // while cheap enough to simulate full NPB runs.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <limits>
+#include <memory>
 #include <queue>
 #include <string>
 #include <unordered_map>
@@ -63,9 +74,33 @@ struct Link {
   double bytes_carried = 0;
 };
 
+/// Longest route a Network carries. A grid route crosses five links (NIC
+/// up, site uplink, WAN link, site downlink, NIC down).
+inline constexpr std::size_t kMaxRouteLinks = 8;
+
+/// The links of one src -> dst path in traversal order, stored inline.
 struct Route {
-  std::vector<LinkId> links;
-  SimTime latency = 0;  ///< sum of link latencies
+  std::array<LinkId, kMaxRouteLinks> links{};
+  std::size_t count = 0;
+
+  Route() = default;
+  /// Throws std::invalid_argument past kMaxRouteLinks links.
+  Route(std::initializer_list<LinkId> ls);
+
+  const LinkId* begin() const { return links.data(); }
+  const LinkId* end() const { return links.data() + count; }
+  std::size_t size() const { return count; }
+};
+
+/// Where a Network's routes come from (see the file comment).
+class RouteSource {
+ public:
+  RouteSource() = default;
+  RouteSource(const RouteSource&) = delete;
+  RouteSource& operator=(const RouteSource&) = delete;
+  virtual ~RouteSource() = default;
+  /// Writes the src -> dst route to `out`; false if the pair has none.
+  virtual bool find(HostId src, HostId dst, Route& out) const = 0;
 };
 
 /// Snapshot of one flow's allocation, used by the TCP layer.
@@ -84,6 +119,8 @@ enum class SolverMode {
 };
 
 class Network {
+  class RouteTable;
+
  public:
   explicit Network(Simulation& sim);
   Network(const Network&) = delete;
@@ -95,9 +132,14 @@ class Network {
                   SimTime latency, double queue_bytes);
   /// Registers the path src -> dst (and, if `symmetric`, dst -> src with the
   /// links reversed). Re-registering overwrites. A route must not cross the
-  /// same link twice (the bipartite index keeps one entry per crossing).
-  void add_route(HostId src, HostId dst, std::vector<LinkId> links,
+  /// same link twice (the bipartite index keeps one entry per crossing) nor
+  /// hold more than kMaxRouteLinks links. Throws std::logic_error once a
+  /// computed source is installed.
+  void add_route(HostId src, HostId dst, const std::vector<LinkId>& links,
                  bool symmetric = true);
+  /// Replaces the route table with a source that computes routes on
+  /// demand; add_route throws from then on. Only legal with no active flow.
+  void set_route_source(std::unique_ptr<RouteSource> source);
 
   int host_count() const { return static_cast<int>(hosts_.size()); }
   int link_count() const { return static_cast<int>(links_.size()); }
@@ -110,10 +152,10 @@ class Network {
   const Host& host(HostId h) const { return hosts_.at(static_cast<size_t>(h)); }
   const Link& link(LinkId l) const { return links_.at(static_cast<size_t>(l)); }
   bool has_route(HostId src, HostId dst) const;
-  const Route& route(HostId src, HostId dst) const;
-  SimTime path_latency(HostId src, HostId dst) const {
-    return route(src, dst).latency;
-  }
+  /// Throws std::out_of_range if the pair has no route.
+  Route route(HostId src, HostId dst) const;
+  /// Sum of the route's current link latencies.
+  SimTime path_latency(HostId src, HostId dst) const;
   /// Smallest link capacity along the route (B/s).
   double path_capacity(HostId src, HostId dst) const;
   /// Smallest queue along the route (bytes); the burst budget for TCP.
@@ -127,10 +169,10 @@ class Network {
   void set_link_capacity(LinkId l, double capacity_bytes_per_sec);
 
   /// Changes a link's propagation latency at runtime (WAN jitter / delay
-  /// variation injection). Every registered route crossing the link has its
-  /// cached latency sum recomputed; in-flight fluid transfers pick the new
-  /// value up at delivery time because propagation is applied by the caller
-  /// when the last byte leaves the pipe.
+  /// variation injection). Route latencies are summed on demand, so the next
+  /// path_latency of every route crossing the link sees it; in-flight fluid
+  /// transfers pick the new value up at delivery time because propagation
+  /// is applied by the caller when the last byte leaves the pipe.
   void set_link_latency(LinkId l, SimTime latency);
 
   /// Starts transferring `bytes` from src to dst. `on_complete` fires (via
@@ -220,7 +262,7 @@ class Network {
   /// Capacities mirrored by LinkId for the solver (kept in sync by
   /// add_link / set_link_capacity).
   std::vector<double> link_capacity_;
-  std::unordered_map<std::uint64_t, Route> routes_;  // key = src<<32 | dst
+  std::unique_ptr<RouteSource> routes_;  ///< a RouteTable until replaced
   std::unordered_map<FlowId, Flow> flows_;
   maxmin::BipartiteIndex index_;
   maxmin::Solver solver_;
@@ -261,12 +303,6 @@ class Network {
   /// and completion check bumps it (lazy settle quantizes reads here).
   SimTime last_touch_ = 0;
   SimTime last_settle_ = 0;  ///< oracle-mode global settle anchor
-
-  static std::uint64_t route_key(HostId src, HostId dst) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
-            << 32) |
-           static_cast<std::uint32_t>(dst);
-  }
 };
 
 /// Convenience: converts megabits per second to bytes per second.

@@ -7,6 +7,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "simcore/sync.hpp"
 #include "simnet/network.hpp"
 #include "simtcp/packet_sim.hpp"
+#include "topology/grid5000.hpp"
 
 namespace gridsim::bench {
 
@@ -84,6 +87,18 @@ struct ChurnActor {
     });
   }
 };
+
+/// The process's peak resident set (VmHWM) in MB; 0 where /proc is absent.
+inline double vm_hwm_mb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  double kb = 0;
+  while (std::fgets(line, sizeof line, f) != nullptr)
+    if (std::strncmp(line, "VmHWM:", 6) == 0) kb = std::atof(line + 6);
+  std::fclose(f);
+  return kb / 1024.0;
+}
 
 inline Task<void> bench_chatter(Simulation& sim, Mailbox<int>* in,
                                 Mailbox<int>* out, int rounds) {
@@ -270,6 +285,28 @@ inline BenchRecord bench_flow_churn(bool quick, int concurrent,
   return r;
 }
 
+/// Topology build: constructs `topo::Grid(rennes_nancy(hosts / 2))` and
+/// reports its wall time. `events` holds the host count and the note the
+/// VmHWM rise across the build, so it must run before anything else in the
+/// process raises the high-water mark.
+inline BenchRecord bench_topology_build(int hosts) {
+  Simulation sim;
+  const double hwm0 = detail::vm_hwm_mb();
+  const double t0 = detail::now_wall_s();
+  const topo::Grid grid(sim, topo::GridSpec::rennes_nancy(hosts / 2));
+  const double wall = detail::now_wall_s() - t0;
+  BenchRecord r;
+  r.name = "topology_build_" + std::to_string(hosts);
+  r.events = static_cast<std::uint64_t>(grid.total_nodes());
+  r.wall_s = wall;
+  r.events_per_sec = static_cast<double>(r.events) / wall;
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "hosts=%d vmhwm_rise_mb=%.1f",
+                grid.total_nodes(), detail::vm_hwm_mb() - hwm0);
+  r.note = buf;
+  return r;
+}
+
 /// Runs `fn` (which must accept a SimHooks) and packages the engine
 /// counters it reports into a BenchRecord.
 template <typename Fn>
@@ -296,6 +333,8 @@ inline BenchRecord bench_figure(const std::string& name, Fn&& fn) {
 /// The engine micro-benchmarks; best-of-`reps` by events/sec.
 inline std::vector<BenchRecord> run_micro_suite(bool quick, int reps) {
   std::vector<BenchRecord> out;
+  // First, while the process's VmHWM still reflects only start-up.
+  out.push_back(bench_topology_build(4096));
   const auto best_of = [reps](auto&& bench_fn, bool q) {
     BenchRecord best = bench_fn(q);
     for (int i = 1; i < reps; ++i) {

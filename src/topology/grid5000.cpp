@@ -1,7 +1,6 @@
 #include "topology/grid5000.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -92,80 +91,104 @@ GridSpec GridSpec::grid5000_full(int nodes_per_site) {
   return g;
 }
 
+/// The grid's routes, computed on demand from the hierarchy host -> site
+/// switch -> WAN link -> site switch -> host (plus loopback and the optional
+/// native fabric): O(hosts + sites^2) link ids instead of a table entry per
+/// host pair.
+struct Grid::Routes final : net::RouteSource {
+  struct Host {
+    int site = 0;
+    net::LinkId up = -1, down = -1, lo = -1;
+    /// Native fabric ports; -1 unless the site's intra traffic uses them.
+    net::LinkId native_up = -1, native_down = -1;
+  };
+  struct Uplink {
+    net::LinkId up = -1, down = -1;
+  };
+
+  explicit Routes(std::size_t n)
+      : nsites(n), uplinks(n), wan(n * n, -1) {}
+
+  bool find(net::HostId src, net::HostId dst, net::Route& out) const override {
+    if (src < 0 || dst < 0 || static_cast<std::size_t>(src) >= hosts.size() ||
+        static_cast<std::size_t>(dst) >= hosts.size())
+      return false;
+    const Host& a = hosts[static_cast<std::size_t>(src)];
+    const Host& b = hosts[static_cast<std::size_t>(dst)];
+    if (src == dst) {
+      out = {a.lo};
+    } else if (a.site != b.site) {
+      const auto s1 = static_cast<std::size_t>(a.site);
+      const auto s2 = static_cast<std::size_t>(b.site);
+      out = {a.up, uplinks[s1].up, wan[s1 * nsites + s2], uplinks[s2].down,
+             b.down};
+    } else if (a.native_up >= 0) {
+      out = {a.native_up, b.native_down};
+    } else {
+      out = {a.up, b.down};
+    }
+    return true;
+  }
+
+  std::size_t nsites;
+  std::vector<Host> hosts;
+  std::vector<Uplink> uplinks;
+  std::vector<net::LinkId> wan;  ///< [s1 * nsites + s2]: the s1 -> s2 link
+};
+
 Grid::Grid(Simulation& sim, const GridSpec& spec)
     : spec_(spec), network_(sim) {
   const auto nsites = spec_.sites.size();
   if (spec_.rtt_ms.size() != nsites)
     throw std::invalid_argument("rtt_ms matrix size != number of sites");
+  for (const auto& row : spec_.rtt_ms)
+    if (row.size() != nsites)
+      throw std::invalid_argument("rtt_ms row size != number of sites");
 
-  struct SiteLinks {
-    net::LinkId up = -1, down = -1;
-    std::vector<net::LinkId> node_up, node_down;
-    std::vector<net::LinkId> native_up, native_down;  ///< optional fabric
-  };
-  std::vector<SiteLinks> sl(nsites);
+  auto routes = std::make_unique<Routes>(nsites);
+  routes_ = routes.get();
 
-  // Hosts, NIC links and site uplinks.
+  // Hosts, NIC links and site uplinks. The add_link order fixes every
+  // LinkId, which the campaign digests depend on.
   for (size_t s = 0; s < nsites; ++s) {
     const SiteSpec& site = spec_.sites[s];
     if (site.nodes <= 0) throw std::invalid_argument("site with no nodes");
-    sl[s].up = network_.add_link(site.name + ".up",
-                                 tcp::ethernet_goodput(site.uplink_bps),
-                                 spec_.uplink_latency, spec_.queue_bytes);
-    sl[s].down = network_.add_link(site.name + ".down",
-                                   tcp::ethernet_goodput(site.uplink_bps),
-                                   spec_.uplink_latency, spec_.queue_bytes);
-    site_nodes_.emplace_back();
+    routes->uplinks[s].up = network_.add_link(
+        site.name + ".up", tcp::ethernet_goodput(site.uplink_bps),
+        spec_.uplink_latency, spec_.queue_bytes);
+    routes->uplinks[s].down = network_.add_link(
+        site.name + ".down", tcp::ethernet_goodput(site.uplink_bps),
+        spec_.uplink_latency, spec_.queue_bytes);
+    site_first_host_.push_back(network_.host_count());
+    const bool native = spec_.prefer_native_intra && site.native_bps > 0;
     for (int n = 0; n < site.nodes; ++n) {
       const std::string host_name = site.name + std::to_string(n);
-      const net::HostId h = network_.add_host(host_name, site.cpu_speed);
-      site_nodes_.back().push_back(h);
-      host_site_.push_back(static_cast<int>(s));
-      sl[s].node_up.push_back(network_.add_link(
-          host_name + ".up", tcp::ethernet_goodput(site.nic_bps),
-          spec_.nic_latency, spec_.queue_bytes));
-      sl[s].node_down.push_back(network_.add_link(
-          host_name + ".down", tcp::ethernet_goodput(site.nic_bps),
-          spec_.nic_latency, spec_.queue_bytes));
+      network_.add_host(host_name, site.cpu_speed);
+      Routes::Host h;
+      h.site = static_cast<int>(s);
+      h.up = network_.add_link(host_name + ".up",
+                               tcp::ethernet_goodput(site.nic_bps),
+                               spec_.nic_latency, spec_.queue_bytes);
+      h.down = network_.add_link(host_name + ".down",
+                                 tcp::ethernet_goodput(site.nic_bps),
+                                 spec_.nic_latency, spec_.queue_bytes);
       // Loopback for co-located processes: ~5 GB/s, 5 us one-way.
-      const net::LinkId lo = network_.add_link(host_name + ".lo", 5e9,
-                                               microseconds(5), 4e6);
-      network_.add_route(h, h, {lo}, /*symmetric=*/false);
+      h.lo = network_.add_link(host_name + ".lo", 5e9, microseconds(5), 4e6);
       // Optional native fabric ports (Myrinet/Infiniband class). Native
       // rates are used raw (no Ethernet framing overhead).
-      if (spec_.prefer_native_intra && site.native_bps > 0) {
-        sl[s].native_up.push_back(
+      if (native) {
+        h.native_up =
             network_.add_link(host_name + ".mx.up", site.native_bps / 8.0,
-                              site.native_latency, spec_.queue_bytes));
-        sl[s].native_down.push_back(
+                              site.native_latency, spec_.queue_bytes);
+        h.native_down =
             network_.add_link(host_name + ".mx.down", site.native_bps / 8.0,
-                              site.native_latency, spec_.queue_bytes));
+                              site.native_latency, spec_.queue_bytes);
       }
+      routes->hosts.push_back(h);
     }
   }
 
-  // Intra-site routes: the native fabric where configured and preferred,
-  // otherwise up through the sender NIC and down the receiver NIC.
-  for (size_t s = 0; s < nsites; ++s) {
-    const auto& nodes = site_nodes_[s];
-    const bool native = !sl[s].native_up.empty();
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      for (size_t j = 0; j < nodes.size(); ++j) {
-        if (i == j) continue;
-        if (native) {
-          network_.add_route(nodes[i], nodes[j],
-                             {sl[s].native_up[i], sl[s].native_down[j]},
-                             /*symmetric=*/false);
-        } else {
-          network_.add_route(nodes[i], nodes[j],
-                             {sl[s].node_up[i], sl[s].node_down[j]},
-                             /*symmetric=*/false);
-        }
-      }
-    }
-  }
-
-  // Inter-site WAN links and routes.
+  // Inter-site WAN links, one per direction.
   for (size_t s1 = 0; s1 < nsites; ++s1) {
     for (size_t s2 = s1 + 1; s2 < nsites; ++s2) {
       const double rtt = spec_.rtt_ms[s1][s2];
@@ -180,39 +203,25 @@ Grid::Grid(Simulation& sim, const GridSpec& spec)
       // The backbone itself is 10 Gbps (RENATER); site uplinks bottleneck.
       const std::string nm =
           spec_.sites[s1].name + "-" + spec_.sites[s2].name;
-      const net::LinkId w12 = network_.add_link(
+      routes->wan[s1 * nsites + s2] = network_.add_link(
           nm, tcp::ethernet_goodput(10e9), wan_lat, 4e6);
-      const net::LinkId w21 = network_.add_link(
+      routes->wan[s2 * nsites + s1] = network_.add_link(
           nm + ".rev", tcp::ethernet_goodput(10e9), wan_lat, 4e6);
-      for (size_t i = 0; i < site_nodes_[s1].size(); ++i) {
-        for (size_t j = 0; j < site_nodes_[s2].size(); ++j) {
-          network_.add_route(site_nodes_[s1][i], site_nodes_[s2][j],
-                             {sl[s1].node_up[i], sl[s1].up, w12, sl[s2].down,
-                              sl[s2].node_down[j]},
-                             /*symmetric=*/false);
-          network_.add_route(site_nodes_[s2][j], site_nodes_[s1][i],
-                             {sl[s2].node_up[j], sl[s2].up, w21, sl[s1].down,
-                              sl[s1].node_down[i]},
-                             /*symmetric=*/false);
-        }
-      }
     }
   }
+  network_.set_route_source(std::move(routes));
 }
 
-int Grid::total_nodes() const {
-  int n = 0;
-  for (const auto& s : spec_.sites) n += s.nodes;
-  return n;
-}
+int Grid::total_nodes() const { return network_.host_count(); }
 
 net::HostId Grid::node(int site, int index) const {
-  return site_nodes_.at(static_cast<size_t>(site))
-      .at(static_cast<size_t>(index));
+  if (index < 0 || index >= nodes_at(site))
+    throw std::out_of_range("node index out of range");
+  return site_first_host_[static_cast<size_t>(site)] + index;
 }
 
 int Grid::site_of(net::HostId h) const {
-  return host_site_.at(static_cast<size_t>(h));
+  return routes_->hosts.at(static_cast<size_t>(h)).site;
 }
 
 SimTime Grid::rtt(net::HostId a, net::HostId b) const {

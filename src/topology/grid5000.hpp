@@ -8,7 +8,10 @@
 //
 // All links are directed (full-duplex Ethernet): each host has an up and a
 // down link, each site an up/down uplink pair and each site pair two WAN
-// links. Every host also gets a loopback route for co-located processes.
+// links. Every host also gets a loopback link for co-located processes.
+// Routes are not stored per host pair: the grid installs a route source
+// that composes each one on demand from those per-host, per-site and
+// per-site-pair link ids, so building a grid costs O(hosts + sites^2).
 //
 // Latency budget (matches Table 4): an intra-cluster TCP one-way time of
 // 41 us = 2 x 17.5 us NIC/switch hops + 2 x 3 us kernel stack cost (the
@@ -93,10 +96,14 @@ class Grid {
   double cpu_speed(net::HostId h) const { return network_.host(h).cpu_speed; }
 
  private:
+  struct Routes;
+
   GridSpec spec_;
   net::Network network_;
-  std::vector<std::vector<net::HostId>> site_nodes_;
-  std::vector<int> host_site_;
+  /// Hosts are numbered site by site: site s owns the ids
+  /// [site_first_host_[s], site_first_host_[s] + nodes_at(s)).
+  std::vector<net::HostId> site_first_host_;
+  const Routes* routes_ = nullptr;  ///< owned by network_
 };
 
 /// Candidate (src, dst) host pairs for background cross-traffic on this

@@ -149,7 +149,8 @@ TEST_P(ChurnDifferential, IncrementalMatchesOracleExactly) {
       ASSERT_EQ(fi, fo);
       inc.active.insert(fi);
       ora.active.insert(fo);
-      flow_links[fi] = inc.net.route(i, j).links;
+      const Route r = inc.net.route(i, j);
+      flow_links[fi].assign(r.begin(), r.end());
     } else if (kind < 70) {
       const FlowId f = pick_active();
       const double cap =

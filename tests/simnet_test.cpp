@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "simcore/simulation.hpp"
@@ -46,6 +49,66 @@ TEST(Network, MissingRouteThrows) {
   EXPECT_THROW(n.route(a, b), std::out_of_range);
   EXPECT_THROW(n.start_flow(a, b, 100, kUnlimitedRate, nullptr),
                std::out_of_range);
+}
+
+TEST(Network, RouteTableReversesSymmetricRoutes) {
+  Simulation sim;
+  Network n(sim);
+  const HostId a = n.add_host("a");
+  const HostId b = n.add_host("b");
+  const LinkId l0 = n.add_link("l0", 1e9, 1_ms, 1e6);
+  const LinkId l1 = n.add_link("l1", 1e9, 2_ms, 1e6);
+  n.add_route(a, b, {l0, l1});
+  const Route back = n.route(b, a);
+  EXPECT_EQ(std::vector<LinkId>(back.begin(), back.end()),
+            (std::vector<LinkId>{l1, l0}));
+  EXPECT_EQ(n.path_latency(b, a), 3_ms);
+}
+
+TEST(Network, RouteLongerThanInlineCapacityRejected) {
+  Simulation sim;
+  Network n(sim);
+  const HostId a = n.add_host("a");
+  const HostId b = n.add_host("b");
+  std::vector<LinkId> links;
+  for (std::size_t i = 0; i <= kMaxRouteLinks; ++i)
+    links.push_back(n.add_link("l" + std::to_string(i), 1e9, 0, 1e6));
+  EXPECT_THROW(n.add_route(a, b, links), std::invalid_argument);
+  links.pop_back();
+  n.add_route(a, b, links);
+  EXPECT_EQ(n.route(a, b).size(), kMaxRouteLinks);
+}
+
+// Every pair routed over one shared link, computed rather than stored.
+struct OneLinkSource final : RouteSource {
+  LinkId link;
+  explicit OneLinkSource(LinkId l) : link(l) {}
+  bool find(HostId src, HostId dst, Route& out) const override {
+    if (src == dst) return false;
+    out = {link};
+    return true;
+  }
+};
+
+TEST(Network, ComputedRouteSourceReplacesTheTable) {
+  Simulation sim;
+  Network n(sim);
+  const HostId a = n.add_host("a");
+  const HostId b = n.add_host("b");
+  const LinkId l = n.add_link("l", 1e8, 2_ms, 3e5);
+  n.set_route_source(std::make_unique<OneLinkSource>(l));
+  EXPECT_TRUE(n.has_route(a, b));
+  EXPECT_FALSE(n.has_route(a, a));
+  EXPECT_EQ(n.path_latency(b, a), 2_ms);
+  EXPECT_DOUBLE_EQ(n.path_capacity(a, b), 1e8);
+  EXPECT_DOUBLE_EQ(n.path_queue(a, b), 3e5);
+  EXPECT_THROW(n.add_route(a, b, {l}), std::logic_error);
+  n.set_link_latency(l, 5_ms);
+  EXPECT_EQ(n.path_latency(a, b), 5_ms);
+  SimTime done = -1;
+  n.start_flow(a, b, 1e8, kUnlimitedRate, [&] { done = sim.now(); });
+  sim.run();
+  EXPECT_EQ(done, 1_s);
 }
 
 TEST(Network, SingleFlowTransferTime) {
