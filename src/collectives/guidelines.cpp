@@ -11,6 +11,7 @@
 #include "collectives/collectives.hpp"
 #include "collectives/selector.hpp"
 #include "mpi/mpi.hpp"
+#include "simcore/json.hpp"
 
 namespace gridsim::coll {
 
@@ -172,34 +173,6 @@ mpi::CollRules misruled_selector() {
   large.algo = "binomial";
   return {small, large};
 }
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 bool write_coll_json(const std::string& path, const GuidelineReport& report) {
   const std::filesystem::path dir =

@@ -11,12 +11,15 @@
 
 #include "harness/determinism.hpp"
 #include "simcore/check.hpp"
+#include "simcore/json.hpp"
 #include "simcore/trace.hpp"
-#include "simlint/lint.hpp"
 
 namespace gridsim::harness {
 
 namespace {
+
+/// Findings kept per scenario (ScenarioOutcome::findings).
+constexpr std::size_t kMaxLintFindings = 16;
 
 double now_wall_s() {
   return std::chrono::duration<double>(
@@ -145,10 +148,23 @@ ScenarioOutcome run_one(const ScenarioSpec& spec,
     out.final_time = state.final_time;
   }
   if (options.lint && out.ok) {
-    const simlint::LintSummary lint =
-        simlint::analyze(comm_log, /*max_findings=*/0);
+    simlint::LintSummary lint = simlint::analyze(comm_log, kMaxLintFindings);
+    out.verdict = simlint::lint_status(lint, spec.races_expected);
     out.races = lint.races;
+    out.causal_sends = lint.causal_sends;
+    out.leaks = lint.leaks;
     out.hb_edges = lint.hb_edges;
+    out.comm_events = lint.events;
+    out.lint_truncated = lint.truncated;
+    out.findings = std::move(lint.findings);
+    // A failing verdict fails the scenario like a schema violation.
+    if (!simlint::lint_status_ok(out.verdict)) {
+      out.ok = false;
+      out.status = "lint";
+      out.error = "lint verdict '" + out.verdict + "'";
+      if (!out.findings.empty())
+        out.error += ": " + out.findings.front().message;
+    }
   }
   return out;
 }
@@ -210,28 +226,6 @@ CampaignReport run_campaign(const ScenarioRegistry& registry,
   return report;
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 bool write_campaign_json(const std::string& path,
                          const CampaignReport& report) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -262,6 +256,12 @@ bool write_campaign_json(const std::string& path,
                  static_cast<long long>(o.final_time), o.wall_s,
                  json_escape(o.status).c_str(), o.races,
                  static_cast<unsigned long long>(o.hb_edges));
+    std::fprintf(f,
+                 ", \"verdict\": \"%s\", \"causal_sends\": %d, "
+                 "\"leaks\": %d, \"events\": %llu, \"truncated\": %s",
+                 json_escape(o.verdict).c_str(), o.causal_sends, o.leaks,
+                 static_cast<unsigned long long>(o.comm_events),
+                 o.lint_truncated ? "true" : "false");
     if (!o.ok)
       std::fprintf(f, ", \"error\": \"%s\"", json_escape(o.error).c_str());
     if (!o.result.note.empty())
@@ -273,8 +273,20 @@ bool write_campaign_json(const std::string& path,
       std::fprintf(f, "%s\"%s\": %.17g", m ? ", " : "",
                    json_escape(metric.name).c_str(), metric.value);
     }
-    std::fprintf(f, "}}%s\n",
-                 i + 1 < report.outcomes.size() ? "," : "");
+    std::fprintf(f, "}, \"findings\": [");
+    for (std::size_t k = 0; k < o.findings.size(); ++k) {
+      const simlint::Finding& finding = o.findings[k];
+      std::fprintf(f,
+                   "%s{\"rule\": \"%s\", \"severity\": \"%s\", "
+                   "\"site_a\": \"%s\", \"site_b\": \"%s\", "
+                   "\"message\": \"%s\"}",
+                   k ? ", " : "", json_escape(finding.rule).c_str(),
+                   json_escape(finding.severity).c_str(),
+                   json_escape(finding.site_a).c_str(),
+                   json_escape(finding.site_b).c_str(),
+                   json_escape(finding.message).c_str());
+    }
+    std::fprintf(f, "]}%s\n", i + 1 < report.outcomes.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   return std::fclose(f) == 0;

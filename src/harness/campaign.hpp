@@ -11,9 +11,13 @@
 // `scripts/check_digests.sh` and tests/campaign_test.cpp verify. This is
 // the simulator's one determinism check.
 //
-// Failure isolation: a scenario that throws (or violates its declared
-// metric schema) is reported failed with its error text; the rest of the
-// campaign completes normally.
+// Each scenario is also checked as it runs: its comm events are recorded
+// and the simlint happens-before analysis gives a verdict. This is the
+// simulator's one race and leak check.
+//
+// Failure isolation: a scenario that throws, violates its declared metric
+// schema or fails its lint verdict is reported failed with its error text;
+// the rest of the campaign completes normally.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +25,7 @@
 #include <vector>
 
 #include "harness/scenario.hpp"
+#include "simlint/lint.hpp"
 
 namespace gridsim::harness {
 
@@ -38,9 +43,10 @@ struct CampaignOptions {
   /// `status == "timeout"`, and the rest of the campaign proceeds.
   double timeout_s = 0;
   /// Record each scenario's comm-event log and run the simlint
-  /// happens-before analysis over it, filling ScenarioOutcome::races and
-  /// hb_edges (counters only — `gridsim lint` reports the sites). Off, the
-  /// engine skips recording entirely.
+  /// happens-before analysis over it, filling the ScenarioOutcome lint
+  /// fields. A verdict other than "clean" or "expected-races" fails the
+  /// scenario (status "lint"). Off, the engine skips recording entirely and
+  /// no verdict is given.
   bool lint = true;
 };
 
@@ -50,7 +56,8 @@ struct ScenarioOutcome {
   std::string group;
   bool ok = false;
   /// "ok" | "failed" | "timeout" (the watchdog fired; see
-  /// CampaignOptions::timeout_s). `ok == (status == "ok")`.
+  /// CampaignOptions::timeout_s) | "lint" (the run completed but its lint
+  /// verdict fails). `ok == (status == "ok")`.
   std::string status = "failed";
   std::string error;         ///< exception text or schema violation
   ScenarioResult result;
@@ -59,8 +66,19 @@ struct ScenarioOutcome {
   std::uint64_t simulations = 0;  ///< Simulations the scenario ran
   std::int64_t final_time = 0;    ///< max virtual end time across them (ns)
   double wall_s = 0;
+  // simlint analysis of the completed run (CampaignOptions::lint).
+  /// simlint::lint_status of the run, or "none" if it was not analyzed
+  /// (lint off, or the run threw or timed out).
+  std::string verdict = "none";
   int races = 0;                  ///< simlint R1 racing send pairs
+  int causal_sends = 0;           ///< R2 causally-dependent sends
+  int leaks = 0;                  ///< R3 leaks and tag conflicts
   std::uint64_t hb_edges = 0;     ///< cross-rank happens-before edges
+  std::uint64_t comm_events = 0;  ///< comm events analyzed
+  bool lint_truncated = false;    ///< the analysis was capped
+  /// The first 16 findings, in rule-engine order (the counters above stay
+  /// exact).
+  std::vector<simlint::Finding> findings;
 };
 
 struct CampaignReport {

@@ -1,9 +1,11 @@
 #include "harness/replay.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "harness/npb_campaign.hpp"
@@ -27,10 +29,23 @@ CommTrace CommTrace::load(std::istream& in) {
   in >> magic >> version >> t.nranks >> count;
   if (magic != "gridsim-trace" || version != 1 || !in)
     throw std::invalid_argument("not a gridsim-trace v1 stream");
-  t.messages.resize(count);
-  for (auto& m : t.messages) {
+  if (t.nranks <= 0)
+    throw std::invalid_argument("gridsim-trace needs at least one rank");
+  // The header count is untrusted: the vector grows only as records parse.
+  for (std::size_t i = 0; i < count; ++i) {
+    RecordedMessage m;
     in >> m.at >> m.src >> m.dst >> m.bytes >> m.tag;
     if (!in) throw std::invalid_argument("truncated gridsim-trace stream");
+    if (m.src < 0 || m.src >= t.nranks || m.dst < 0 || m.dst >= t.nranks)
+      throw std::invalid_argument("gridsim-trace record " +
+                                  std::to_string(i) + ": rank out of range");
+    if (!std::isfinite(m.bytes) || m.bytes < 0)
+      throw std::invalid_argument("gridsim-trace record " +
+                                  std::to_string(i) + ": bad byte count");
+    if (m.tag < 0)
+      throw std::invalid_argument("gridsim-trace record " +
+                                  std::to_string(i) + ": negative tag");
+    t.messages.push_back(m);
   }
   return t;
 }

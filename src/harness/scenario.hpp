@@ -77,8 +77,8 @@ struct ScenarioSpec {
   /// that do not declare a rank count within the cap.
   int ranks = 0;
   /// The workload intentionally contains wildcard-receive races (e.g. a
-  /// master/worker pattern whose result is interleaving-invariant).
-  /// `gridsim lint` reports them as "expected-races" (passing) instead of
+  /// master/worker pattern whose result is interleaving-invariant). The
+  /// campaign's lint verdict is then "expected-races" (passing) instead of
   /// "races" (failing). Leaks (rule R3) always fail.
   bool races_expected = false;
   ScenarioFn run;

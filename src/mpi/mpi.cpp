@@ -18,7 +18,7 @@ int Rank::size() const { return job_->size(); }
 Simulation& Rank::sim() { return job_->sim(); }
 
 SimTime Rank::side_overhead(SimTime base, int peer) const {
-  SimTime t = base + job_->tcp_params().stack_overhead;
+  SimTime t = base + tcp::kStackOverhead;
   const bool lan = job_->pair_rtt(rank_, peer) < milliseconds(1);
   if (lan) {
     t += job_->profile().lan_extra_overhead;
@@ -578,12 +578,10 @@ Task<void> Rank::compute(double ref_seconds) {
 // ---------------------------------------------------------------------------
 
 Job::Job(topo::Grid& grid, std::vector<net::HostId> placement,
-         ImplProfile profile, tcp::KernelTunables kernel,
-         tcp::TcpModelParams tcp_params)
+         ImplProfile profile, tcp::KernelTunables kernel)
     : grid_(&grid),
       profile_(std::move(profile)),
       kernel_(kernel),
-      tcp_params_(tcp_params),
       arbiter_(ambient_arbiter() != nullptr ? ambient_arbiter()
                                             : &arrival_order_arbiter()) {
   if (placement.empty()) throw std::invalid_argument("empty placement");
@@ -651,7 +649,7 @@ tcp::TcpChannel& Job::channel(int from, int to, int stream) {
   opts.pacing = profile_.pacing;
   auto ch = std::make_unique<tcp::TcpChannel>(
       grid_->network(), rank(from).host(), rank(to).host(), kernel_, kernel_,
-      opts, tcp_params_);
+      opts);
   auto* ptr = ch.get();
   channels_.emplace(key, std::move(ch));
   return *ptr;

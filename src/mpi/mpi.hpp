@@ -183,8 +183,7 @@ class Rank {
 class Job {
  public:
   Job(topo::Grid& grid, std::vector<net::HostId> placement,
-      ImplProfile profile, tcp::KernelTunables kernel,
-      tcp::TcpModelParams tcp_params = {});
+      ImplProfile profile, tcp::KernelTunables kernel);
   ~Job();
   Job(const Job&) = delete;
   Job& operator=(const Job&) = delete;
@@ -197,7 +196,6 @@ class Job {
   Rank& rank(int r) { return *ranks_.at(static_cast<size_t>(r)); }
   const ImplProfile& profile() const { return profile_; }
   const tcp::KernelTunables& kernel() const { return kernel_; }
-  const tcp::TcpModelParams& tcp_params() const { return tcp_params_; }
   topo::Grid& grid() { return *grid_; }
   Simulation& sim() { return grid_->network().sim(); }
   TrafficStats& traffic() { return traffic_; }
@@ -254,7 +252,6 @@ class Job {
   topo::Grid* grid_;
   ImplProfile profile_;
   tcp::KernelTunables kernel_;
-  tcp::TcpModelParams tcp_params_;
   MatchArbiter* arbiter_;
   JobCommTrace* comm_trace_ = nullptr;  ///< ambient CommLog's trace, if any
   std::uint64_t idle_hook_id_ = 0;

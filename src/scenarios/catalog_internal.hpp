@@ -40,7 +40,7 @@ void register_robust_catalog(harness::ScenarioRegistry& reg);
 /// arrival-order arbiter like any other scenario.
 void register_mc_catalog(harness::ScenarioRegistry& reg);
 
-/// Lint fixtures for `gridsim lint` (docs/race-detection.md): one
+/// Lint fixtures (docs/race-detection.md), checked by every campaign: one
 /// deliberately racy wildcard workload (R1 fires, races_expected) and its
 /// race-free twin whose candidate sends are happens-before-ordered through
 /// a token, so the analyzer proves zero races and the model-checker's HB

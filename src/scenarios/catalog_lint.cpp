@@ -1,7 +1,7 @@
-// Lint fixtures for `gridsim lint` (simlint/lint.hpp,
-// docs/race-detection.md): a deliberately racy wildcard workload and its
-// race-free twin. The pair pins the analyzer's verdict boundary from both
-// sides (tests/lint_test.cpp):
+// Lint fixtures for the campaign's happens-before analysis
+// (simlint/lint.hpp, docs/race-detection.md): a deliberately racy wildcard
+// workload and its race-free twin. The pair pins the analyzer's verdict
+// boundary from both sides (tests/lint_test.cpp, tests/campaign_test.cpp):
 //
 //  * lint/wildcard-race — ranks 1 and 2 send concurrently into rank 0's
 //    two kAnySource receives. Neither send happens-before the other, so
@@ -136,7 +136,7 @@ void register_lint_catalog(ScenarioRegistry& reg) {
   register_scripted_order(reg);
 
   reg.set_renderer("lint", [](const auto& specs, const auto& results) {
-    std::string out = "Lint fixtures (see `gridsim lint`):\n";
+    std::string out = "Lint fixtures (verdicts in CAMPAIGN.json):\n";
     for (std::size_t i = 0; i < specs.size(); ++i)
       out += "  " + variant_of(specs[i]->name) + ": " + results[i]->note +
              "\n";

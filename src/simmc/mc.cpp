@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -11,6 +12,7 @@
 
 #include "harness/determinism.hpp"
 #include "simcore/check.hpp"
+#include "simcore/json.hpp"
 #include "simcore/simulation.hpp"
 
 namespace gridsim::simmc {
@@ -67,22 +69,11 @@ std::string hex16(std::uint64_t v) {
   return buf;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
+/// Parses a whole token as an unsigned decimal integer.
+bool parse_u64(const std::string& token, std::uint64_t* value) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *value);
+  return ec == std::errc() && ptr == end && !token.empty();
 }
 
 /// Greedy witness minimization: reset each forced (nonzero) choice to the
@@ -346,10 +337,22 @@ bool Witness::load(const std::string& path, Witness* out,
       fields >> std::ws;
       std::getline(fields, w.scenario);
     } else if (key == "seed") {
-      fields >> w.seed;
+      std::string token, extra;
+      fields >> token;
+      if (!parse_u64(token, &w.seed) || fields >> extra) {
+        if (error) *error = "bad witness seed line: " + line;
+        return false;
+      }
     } else if (key == "choices") {
-      std::size_t c = 0;
-      while (fields >> c) w.choices.push_back(c);
+      std::string token;
+      while (fields >> token) {
+        std::uint64_t c = 0;
+        if (!parse_u64(token, &c)) {
+          if (error) *error = "bad witness choices line: " + line;
+          return false;
+        }
+        w.choices.push_back(static_cast<std::size_t>(c));
+      }
     } else if (key == "blocked") {
       fields >> std::ws;
       std::string rest;

@@ -33,13 +33,11 @@ double effective_buffer(double setsockopt_request, double core_max,
 
 TcpChannel::TcpChannel(net::Network& network, net::HostId src, net::HostId dst,
                        const KernelTunables& snd_kernel,
-                       const KernelTunables& rcv_kernel, SocketOptions options,
-                       TcpModelParams params)
+                       const KernelTunables& rcv_kernel, SocketOptions options)
     : net_(network),
       sim_(network.sim()),
       src_(src),
       dst_(dst),
-      params_(params),
       options_(options),
       pacing_(options.pacing),
       algo_(snd_kernel.algo) {
@@ -51,7 +49,7 @@ TcpChannel::TcpChannel(net::Network& network, net::HostId src, net::HostId dst,
                                 options.lock_buffers_to_initial);
   rtt_ = 2 * net_.path_latency(src, dst);
   queue_budget_ = net_.path_queue(src, dst);
-  cwnd_ = params_.initial_window_mss * params_.mss;
+  cwnd_ = kInitialWindowMss * kMss;
   ssthresh_ = std::numeric_limits<double>::infinity();
   bic_wmax_ = 0;
   last_active_ = sim_.now();
@@ -212,8 +210,8 @@ void TcpChannel::on_tick(std::uint64_t gen) {
   // exponentially backed-off intervals, and surface the event.
   if (info.rate < kStallRate) {
     ++stall_events_;
-    ssthresh_ = std::max(cwnd_ / 2, 2 * params_.mss);
-    cwnd_ = params_.initial_window_mss * params_.mss;
+    ssthresh_ = std::max(cwnd_ / 2, 2 * kMss);
+    cwnd_ = kInitialWindowMss * kMss;
     in_slow_start_ = true;
     if (sim_.tracer().enabled(TraceKind::kFault)) {
       sim_.tracer().record(sim_.now(), TraceKind::kFault,
@@ -221,7 +219,7 @@ void TcpChannel::on_tick(std::uint64_t gen) {
                            static_cast<double>(stall_events_), "tcp-retry");
     }
     stall_backoff_ = stall_backoff_ == 0
-                         ? std::max<SimTime>(rtt_, params_.idle_rto)
+                         ? std::max<SimTime>(rtt_, kIdleRto)
                          : std::min<SimTime>(stall_backoff_ * 2, seconds(2));
     update_flow_cap();
     schedule_tick(stall_backoff_);
@@ -230,7 +228,7 @@ void TcpChannel::on_tick(std::uint64_t gen) {
   stall_backoff_ = 0;
   const double rtt_s = to_seconds(std::max<SimTime>(rtt_, 1));
   const double bdp_share = info.achievable_rate * rtt_s;
-  const double queue_frac = pacing_ ? 1.0 : params_.unpaced_queue_fraction;
+  const double queue_frac = pacing_ ? 1.0 : kUnpacedQueueFraction;
   const double loss_point = bdp_share + queue_budget_ * queue_frac;
 
   if (sim_.tracer().enabled(TraceKind::kCwnd)) {
@@ -247,7 +245,7 @@ void TcpChannel::on_tick(std::uint64_t gen) {
   } else if (cwnd_ < std::min(snd_limit_, rcv_limit_)) {
     grow_window();
   }
-  cwnd_ = std::max(cwnd_, 2 * params_.mss);
+  cwnd_ = std::max(cwnd_, 2 * kMss);
   update_flow_cap();
   schedule_tick();
 }
@@ -264,22 +262,21 @@ void TcpChannel::on_loss() {
     // into the bottleneck queue: many segments drop, recovery degenerates
     // to an RTO-like restart. A paced sender loses a single segment and
     // exits cleanly at half the overshoot window.
-    ssthresh_ = std::max(cwnd_ / 2, 2 * params_.mss);
+    ssthresh_ = std::max(cwnd_ / 2, 2 * kMss);
     bic_wmax_ = cwnd_;
-    cwnd_ = pacing_ ? ssthresh_ : params_.initial_window_mss * params_.mss;
+    cwnd_ = pacing_ ? ssthresh_ : kInitialWindowMss * kMss;
     in_slow_start_ = !pacing_ && cwnd_ < ssthresh_;
   } else {
     bic_wmax_ = cwnd_;
     const double beta =
-        algo_ == CongestionAlgo::kCubic ? 0.7 : params_.bic_beta;
-    cwnd_ = std::max(cwnd_ * beta, 2 * params_.mss);
+        algo_ == CongestionAlgo::kCubic ? 0.7 : kBicBeta;
+    cwnd_ = std::max(cwnd_ * beta, 2 * kMss);
     ssthresh_ = cwnd_;
   }
   cubic_epoch_start_ = sim_.now();
 }
 
 void TcpChannel::grow_window() {
-  const double mss = params_.mss;
   if (in_slow_start_ && cwnd_ < ssthresh_) {
     cwnd_ = std::min(cwnd_ * 2, ssthresh_);
     if (cwnd_ >= ssthresh_) in_slow_start_ = false;
@@ -288,28 +285,28 @@ void TcpChannel::grow_window() {
   in_slow_start_ = false;
   switch (algo_) {
     case CongestionAlgo::kReno:
-      cwnd_ += mss;
+      cwnd_ += kMss;
       break;
     case CongestionAlgo::kBic: {
       if (bic_wmax_ > cwnd_) {
-        const double step = std::clamp((bic_wmax_ - cwnd_) / 2, mss * 0.25,
-                                       params_.bic_smax_mss * mss);
+        const double step = std::clamp((bic_wmax_ - cwnd_) / 2, kMss * 0.25,
+                                       kBicSmaxMss * kMss);
         cwnd_ += step;
       } else {
-        cwnd_ += mss;  // max probing beyond the last known maximum
+        cwnd_ += kMss;  // max probing beyond the last known maximum
       }
       break;
     }
     case CongestionAlgo::kCubic: {
       // W(t) = C_cubic (t - K)^3 + Wmax, K = cbrt(Wmax * (1-beta) / C),
       // with the RFC 8312 constants (C = 0.4 MSS/s^3, beta = 0.7).
-      const double c_cubic = 0.4 * mss;
+      const double c_cubic = 0.4 * kMss;
       const double wmax = std::max(bic_wmax_, cwnd_);
       const double t = to_seconds(sim_.now() - cubic_epoch_start_);
       const double k = std::cbrt(wmax * 0.3 / c_cubic);
       const double target = c_cubic * (t - k) * (t - k) * (t - k) + wmax;
       // Grow toward the cubic target, at least Reno-fair, without jumps.
-      const double next = std::max(cwnd_ + mss * 0.3,
+      const double next = std::max(cwnd_ + kMss * 0.3,
                                    std::min(target, cwnd_ * 1.5));
       cwnd_ = std::max(cwnd_, next);
       break;
@@ -322,11 +319,11 @@ void TcpChannel::apply_idle_decay() {
   // bounded below by the initial window. ssthresh is retained, so the ramp
   // back is fast (slow start to ssthresh).
   const SimTime idle = sim_.now() - last_active_;
-  if (idle < params_.idle_rto) return;
-  const double iw = params_.initial_window_mss * params_.mss;
+  if (idle < kIdleRto) return;
+  const double iw = kInitialWindowMss * kMss;
   double w = cwnd_;
-  for (SimTime t = 0; t + params_.idle_rto <= idle && w > iw;
-       t += params_.idle_rto) {
+  for (SimTime t = 0; t + kIdleRto <= idle && w > iw;
+       t += kIdleRto) {
     w /= 2;
   }
   cwnd_ = std::max(w, iw);

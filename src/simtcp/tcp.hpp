@@ -68,23 +68,22 @@ struct SocketOptions {
   bool pacing = false;
 };
 
-/// Model constants; exposed for ablation studies.
-struct TcpModelParams {
-  double mss = 1448;  ///< Ethernet MSS (1500 - IP/TCP headers, timestamps)
-  /// Fraction of the bottleneck queue a bursty (un-paced) sender can use
-  /// before overflowing it.
-  double unpaced_queue_fraction = 0.5;
-  /// BIC binary-increase cap per RTT, in MSS units. Conservative: long-RTT
-  /// recovery takes seconds, as observed on Grid'5000 (paper Fig 9).
-  double bic_smax_mss = 2.0;
-  double bic_beta = 0.8;  ///< multiplicative decrease factor
-  /// Fixed per-message kernel/stack cost applied by callers per endpoint.
-  SimTime stack_overhead = microseconds(3);
-  /// Initial congestion window in MSS units (2007-era kernels: 2).
-  double initial_window_mss = 2.0;
-  /// Idle period after which cwnd decays toward the restart window.
-  SimTime idle_rto = milliseconds(200);
-};
+// Model constants.
+/// Ethernet MSS (1500 - IP/TCP headers, timestamps).
+inline constexpr double kMss = 1448;
+/// Fraction of the bottleneck queue a bursty (un-paced) sender can use
+/// before overflowing it.
+inline constexpr double kUnpacedQueueFraction = 0.5;
+/// BIC binary-increase cap per RTT, in MSS units. Conservative: long-RTT
+/// recovery takes seconds, as observed on Grid'5000 (paper Fig 9).
+inline constexpr double kBicSmaxMss = 2.0;
+inline constexpr double kBicBeta = 0.8;  ///< multiplicative decrease factor
+/// Fixed per-message kernel/stack cost applied by callers per endpoint.
+inline constexpr SimTime kStackOverhead = microseconds(3);
+/// Initial congestion window in MSS units (2007-era kernels: 2).
+inline constexpr double kInitialWindowMss = 2.0;
+/// Idle period after which cwnd decays toward the restart window.
+inline constexpr SimTime kIdleRto = milliseconds(200);
 
 /// Wire goodput of a payload byte stream on Ethernet: 1448 payload bytes per
 /// 1538 on-wire bytes (preamble + IFG + MAC/IP/TCP headers). 1 GbE -> ~941
@@ -98,7 +97,7 @@ class TcpChannel {
  public:
   TcpChannel(net::Network& network, net::HostId src, net::HostId dst,
              const KernelTunables& snd_kernel, const KernelTunables& rcv_kernel,
-             SocketOptions options, TcpModelParams params = {});
+             SocketOptions options);
   TcpChannel(const TcpChannel&) = delete;
   TcpChannel& operator=(const TcpChannel&) = delete;
 
@@ -131,7 +130,6 @@ class TcpChannel {
   bool idle() const { return segments_.empty(); }
   net::HostId source() const { return src_; }
   net::HostId destination() const { return dst_; }
-  const TcpModelParams& params() const { return params_; }
 
  private:
   struct Segment {
@@ -157,7 +155,6 @@ class TcpChannel {
   Simulation& sim_;
   net::HostId src_;
   net::HostId dst_;
-  TcpModelParams params_;
   SocketOptions options_;
   bool pacing_ = false;
   CongestionAlgo algo_ = CongestionAlgo::kBic;
@@ -197,9 +194,9 @@ class TcpConnection {
  public:
   TcpConnection(net::Network& network, net::HostId a, net::HostId b,
                 const KernelTunables& kernel_a, const KernelTunables& kernel_b,
-                SocketOptions options, TcpModelParams params = {})
-      : ab_(network, a, b, kernel_a, kernel_b, options, params),
-        ba_(network, b, a, kernel_b, kernel_a, options, params) {}
+                SocketOptions options)
+      : ab_(network, a, b, kernel_a, kernel_b, options),
+        ba_(network, b, a, kernel_b, kernel_a, options) {}
 
   TcpChannel& a_to_b() { return ab_; }
   TcpChannel& b_to_a() { return ba_; }

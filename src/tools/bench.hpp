@@ -1,6 +1,6 @@
-// `gridsim bench` support: engine micro-benchmarks and a representative
-// figure subset, instrumented end to end and written to BENCH_micro.json /
-// BENCH_figs.json (see docs/usage.md for the schema).
+// `gridsim bench` support: engine micro-benchmarks written to
+// BENCH_micro.json (see docs/usage.md for the schema). End-to-end timing of
+// paper workloads lives in gridbench/.
 #pragma once
 
 #include <array>
@@ -13,11 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "apps/ray2mesh.hpp"
-#include "harness/npb_campaign.hpp"
-#include "harness/pingpong.hpp"
-#include "profiles/profiles.hpp"
 #include "simcore/callback.hpp"
+#include "simcore/json.hpp"
 #include "simcore/sync.hpp"
 #include "simnet/network.hpp"
 #include "simtcp/packet_sim.hpp"
@@ -307,29 +304,6 @@ inline BenchRecord bench_topology_build(int hosts) {
   return r;
 }
 
-/// Runs `fn` (which must accept a SimHooks) and packages the engine
-/// counters it reports into a BenchRecord.
-template <typename Fn>
-inline BenchRecord bench_figure(const std::string& name, Fn&& fn) {
-  BenchRecord r;
-  r.name = name;
-  SimHooks hooks;
-  hooks.on_finish = [&r](Simulation& sim) {
-    r.events += sim.events_processed();
-    if (sim.peak_queue_depth() > r.peak_queue_depth)
-      r.peak_queue_depth = sim.peak_queue_depth();
-  };
-  reset_callback_stats();
-  const double t0 = detail::now_wall_s();
-  r.note = fn(hooks);
-  r.wall_s = detail::now_wall_s() - t0;
-  const CallbackStats cs = callback_stats();
-  r.events_per_sec = static_cast<double>(r.events) / r.wall_s;
-  r.heap_payloads = cs.heap_payloads;
-  r.pool_misses = cs.pool_misses;
-  return r;
-}
-
 /// The engine micro-benchmarks; best-of-`reps` by events/sec.
 inline std::vector<BenchRecord> run_micro_suite(bool quick, int reps) {
   std::vector<BenchRecord> out;
@@ -358,83 +332,15 @@ inline std::vector<BenchRecord> run_micro_suite(bool quick, int reps) {
   return out;
 }
 
-/// A representative subset of the paper figures, instrumented end to end:
-/// the grid ping-pong sweep (fig. 3 family), one NPB kernel and ray2mesh.
-inline std::vector<BenchRecord> run_figure_suite(bool quick) {
-  std::vector<BenchRecord> out;
-
-  out.push_back(bench_figure("pingpong_grid", [quick](const SimHooks& hooks) {
-    const auto spec = topo::GridSpec::rennes_nancy(1);
-    const profiles::ExperimentConfig cfg = profiles::experiment(profiles::mpich2())
-        .tuning(profiles::TuningLevel::kFullyTuned);
-    harness::PingpongOptions opt;
-    opt.sizes = harness::pow2_sizes(1024, quick ? 1024.0 * 1024
-                                                : 64.0 * 1024 * 1024);
-    opt.rounds = quick ? 4 : 12;
-    const auto pts =
-        harness::pingpong_sweep(spec, {0, 0, 1, 0}, cfg, opt, hooks);
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "peak %.1f Mbps",
-                  pts.empty() ? 0.0 : pts.back().max_bandwidth_mbps);
-    return std::string(buf);
-  }));
-
-  out.push_back(bench_figure("npb_cg_grid", [quick](const SimHooks& hooks) {
-    const profiles::ExperimentConfig cfg = profiles::experiment(profiles::mpich2())
-        .tuning(profiles::TuningLevel::kTcpTuned);
-    const auto cls = quick ? npb::Class::kS : npb::Class::kA;
-    const auto res = harness::run_npb(topo::GridSpec::rennes_nancy(8), 16,
-                                      npb::Kernel::kCG, cls, cfg, 0, hooks);
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "class %s makespan %.2f s",
-                  quick ? "S" : "A", to_seconds(res.makespan));
-    return std::string(buf);
-  }));
-
-  out.push_back(bench_figure("ray2mesh_grid", [quick](const SimHooks& hooks) {
-    const auto spec = topo::GridSpec::ray2mesh_quad(8);
-    const profiles::ExperimentConfig cfg =
-        profiles::experiment(profiles::gridmpi())
-            .tuning(profiles::TuningLevel::kTcpTuned);
-    apps::Ray2MeshConfig app;
-    app.total_rays = quick ? 100'000 : 1'000'000;
-    const auto res = apps::run_ray2mesh(spec, 0, cfg, app, hooks);
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "total %.1f s", to_seconds(res.total_time));
-    return std::string(buf);
-  }));
-
-  return out;
-}
-
-/// Minimal JSON escaping: the strings we emit are ASCII summaries, so only
-/// quotes and backslashes (and control characters, defensively) need care.
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-/// Writes one BENCH_*.json document. Schema: docs/usage.md.
-inline bool write_bench_json(const std::string& path,
-                             const std::string& schema, bool quick,
+/// Writes the BENCH_micro.json document. Schema: docs/usage.md.
+inline bool write_bench_json(const std::string& path, bool quick,
                              const std::vector<BenchRecord>& records) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  std::fprintf(f, "{\n  \"schema\": \"%s\",\n  \"quick\": %s,\n",
-               json_escape(schema).c_str(), quick ? "true" : "false");
+  std::fprintf(f,
+               "{\n  \"schema\": \"gridsim-bench-micro/1\",\n"
+               "  \"quick\": %s,\n",
+               quick ? "true" : "false");
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];

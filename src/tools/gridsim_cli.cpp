@@ -5,8 +5,6 @@
 //                     [--timeout-s N] [--render] [--list]
 //   gridsim mc        [--scenario GLOB] [--max-execs N] [--ranks-cap K]
 //                     [--seed N] [--out DIR] [--no-hb] [--list]
-//   gridsim lint      [--scenario GLOB] [--seed N] [--max-findings N]
-//                     [--json OUT] [--list]
 //   gridsim coll      [--list] [--verify] [--impl NAME] [--quick]
 //                     [--misrule] [--json OUT]
 //   gridsim replay    --witness FILE [--reps N]
@@ -15,10 +13,11 @@
 // (tools/cli.hpp): declared options with defaults, `--key=value`, strict
 // numeric validation, unknown-flag errors and generated `--help`.
 //
-// `bench` runs the engine micro-benchmarks (event-queue churn, coroutine
-// ping-pong, packet-level TCP) and a representative figure subset, and
-// writes BENCH_micro.json / BENCH_figs.json into --out (default: the
-// current directory). --quick shrinks every workload for CI smoke runs.
+// `bench` runs the engine micro-benchmarks (topology build, event-queue
+// churn, coroutine ping-pong, packet-level TCP, flow churn) and writes
+// BENCH_micro.json into --out (default: the current directory). --quick
+// shrinks every workload for CI smoke runs. End-to-end timing of paper
+// workloads is gridbench/'s job.
 //
 // `campaign` runs the paper's full experiment catalog (or a --filter glob
 // subset) on a worker-thread pool, trace-digesting every scenario, and
@@ -27,7 +26,11 @@
 // --jobs: `--jobs 8` must equal `--jobs 1` byte for byte, which CI checks.
 // --timeout-s arms a per-scenario wall-clock watchdog: a scenario that
 // exceeds it is reported with "status": "timeout" and the campaign exits
-// non-zero without aborting the remaining scenarios.
+// non-zero without aborting the remaining scenarios. Every scenario is also
+// checked by the happens-before race analyzer (simlint,
+// docs/race-detection.md); its verdict and first findings are in each
+// CAMPAIGN.json row, and a verdict of races, leaks or truncated fails the
+// scenario with "status": "lint".
 //
 // `mc` is the DPOR-lite ordering model-checker (simmc/mc.hpp,
 // docs/model-checking.md): it re-executes each matched scenario under every
@@ -36,14 +39,6 @@
 // deadlock is minimized and written as a witness file that `replay`
 // reproduces deterministically. Writes MC.json (schema "gridsim-mc/1").
 // --no-hb disables the happens-before persistent-set reduction (simlint).
-//
-// `lint` is the happens-before communication-race analyzer (simlint,
-// docs/race-detection.md): it runs each matched scenario once with
-// comm-event recording, attaches vector clocks, and reports
-// wildcard-receive races (R1, both racing send sites named),
-// causally-dependent sends (R2) and resource leaks / tag conflicts (R3).
-// Exits non-zero unless every scenario is "clean" or "expected-races".
-// --json writes a consolidated "gridsim-lint/1" report.
 //
 // `coll` exposes the collective-algorithm layer (docs/collectives.md):
 // --list prints the registered algorithms and each implementation's
@@ -71,7 +66,6 @@
 #include "harness/campaign.hpp"
 #include "profiles/profiles.hpp"
 #include "scenarios/catalog.hpp"
-#include "simlint/lint.hpp"
 #include "simmc/mc.hpp"
 #include "tools/bench.hpp"
 #include "tools/cli.hpp"
@@ -115,7 +109,7 @@ int cmd_bench(int argc, char** argv) {
   int reps = 3;
   OptionParser parser(
       "bench",
-      "Engine micro-benchmarks + figure subset, written as BENCH_*.json.");
+      "Engine micro-benchmarks, written as BENCH_micro.json.");
   parser.flag("quick", &quick, "shrink workloads for CI smoke runs")
       .string_opt("out", &out_dir, "output directory")
       .int_opt("reps", &reps, "repetitions (best by events/sec)");
@@ -127,39 +121,23 @@ int cmd_bench(int argc, char** argv) {
   std::filesystem::create_directories(out_dir, ec);  // best effort; fopen
                                                      // reports real failures
 
-  const auto print_records = [](const char* title,
-                                const std::vector<bench::BenchRecord>& recs) {
-    std::printf("# %s\n", title);
-    for (const auto& r : recs) {
-      std::printf(
-          "%-20s %12llu events  %8.3f s  %12.0f ev/s  peak depth %llu  "
-          "heap payloads %llu  pool misses %llu  %s\n",
-          r.name.c_str(), static_cast<unsigned long long>(r.events), r.wall_s,
-          r.events_per_sec, static_cast<unsigned long long>(r.peak_queue_depth),
-          static_cast<unsigned long long>(r.heap_payloads),
-          static_cast<unsigned long long>(r.pool_misses), r.note.c_str());
-    }
-  };
-
   const auto micro = bench::run_micro_suite(quick, reps);
-  print_records("micro-sim (best of reps, by events/sec)", micro);
+  std::printf("# micro-sim (best of reps, by events/sec)\n");
+  for (const auto& r : micro) {
+    std::printf(
+        "%-20s %12llu events  %8.3f s  %12.0f ev/s  peak depth %llu  "
+        "heap payloads %llu  pool misses %llu  %s\n",
+        r.name.c_str(), static_cast<unsigned long long>(r.events), r.wall_s,
+        r.events_per_sec, static_cast<unsigned long long>(r.peak_queue_depth),
+        static_cast<unsigned long long>(r.heap_payloads),
+        static_cast<unsigned long long>(r.pool_misses), r.note.c_str());
+  }
   const std::string micro_path = out_dir + "/BENCH_micro.json";
-  if (!bench::write_bench_json(micro_path, "gridsim-bench-micro/1", quick,
-                               micro)) {
+  if (!bench::write_bench_json(micro_path, quick, micro)) {
     std::fprintf(stderr, "error: cannot write %s\n", micro_path.c_str());
     return 1;
   }
-
-  const auto figs = bench::run_figure_suite(quick);
-  print_records("figure subset (single run)", figs);
-  const std::string figs_path = out_dir + "/BENCH_figs.json";
-  if (!bench::write_bench_json(figs_path, "gridsim-bench-figs/1", quick,
-                               figs)) {
-    std::fprintf(stderr, "error: cannot write %s\n", figs_path.c_str());
-    return 1;
-  }
-
-  std::printf("wrote %s and %s\n", micro_path.c_str(), figs_path.c_str());
+  std::printf("wrote %s\n", micro_path.c_str());
   return 0;
 }
 
@@ -350,100 +328,6 @@ int cmd_mc(int argc, char** argv) {
     if (!rep.ok()) ++failures;
   std::printf("mc: %zu scenarios, %zu failed; wrote %s\n", reports.size(),
               failures, json_path.c_str());
-  return failures == 0 ? 0 : 1;
-}
-
-int cmd_lint(int argc, char** argv) {
-  std::string filter = "*", out_path;
-  std::uint64_t seed = 1;
-  int max_findings = 16;
-  bool list = false;
-  OptionParser parser(
-      "lint",
-      "Happens-before communication-race analyzer: run each matched\n"
-      "scenario once with comm-event recording, attach vector clocks, and\n"
-      "report wildcard-receive races (R1), causally-dependent sends (R2)\n"
-      "and resource leaks / tag conflicts (R3). Exits non-zero unless\n"
-      "every scenario is 'clean' or 'expected-races'.");
-  parser.string_opt("scenario", &filter,
-                    "glob over scenario names and groups (default '*')")
-      .u64_opt("seed", &seed, "scenario seed for the analyzed run")
-      .int_opt("max-findings", &max_findings,
-               "findings reported per scenario (counters stay exact)")
-      .string_opt("json", &out_path,
-                  "write a consolidated gridsim-lint/1 report to this path")
-      .flag("list", &list, "list matching scenarios and exit");
-  int status = 0;
-  if (!parse_or_exit(parser, argc, argv, &status)) return status;
-
-  const auto& registry = scenarios::paper_registry();
-  const auto selected = registry.match(filter);
-  if (selected.empty()) {
-    std::fprintf(stderr, "no scenario matches '%s'\n", filter.c_str());
-    return 2;
-  }
-  if (list) {
-    for (std::size_t idx : selected) {
-      const auto& spec = registry.scenarios()[idx];
-      std::printf("%-40s %s%s\n", spec.name.c_str(),
-                  spec.races_expected ? "[races-expected] " : "",
-                  spec.description.c_str());
-    }
-    std::printf("%zu scenarios\n", selected.size());
-    return 0;
-  }
-
-  std::vector<simlint::ScenarioLintEntry> entries;
-  std::size_t done = 0, failures = 0;
-  for (std::size_t idx : selected) {
-    const auto& spec = registry.scenarios()[idx];
-    ++done;
-    simlint::ScenarioLintEntry entry;
-    entry.name = spec.name;
-    entry.group = spec.group;
-    mpi::CommLog comm_log;
-    try {
-      const mpi::ScopedCommLog scope(&comm_log);
-      harness::ScenarioContext ctx;
-      ctx.seed = seed;
-      (void)spec.run(ctx);
-      entry.lint = simlint::analyze(
-          comm_log, static_cast<std::size_t>(std::max(0, max_findings)));
-      entry.status = simlint::lint_status(entry.lint, spec.races_expected);
-    } catch (const std::exception& e) {
-      entry.status = "error";
-      entry.error = e.what();
-    }
-    if (!simlint::lint_status_ok(entry.status)) ++failures;
-    std::printf("[%3zu/%zu] %-40s %-15s races=%-2d causal=%-2d leaks=%-2d "
-                "hb_edges=%llu\n",
-                done, selected.size(), spec.name.c_str(),
-                entry.status.c_str(), entry.lint.races,
-                entry.lint.causal_sends, entry.lint.leaks,
-                static_cast<unsigned long long>(entry.lint.hb_edges));
-    for (const auto& finding : entry.lint.findings)
-      std::printf("    [%s] %s: %s\n", finding.severity.c_str(),
-                  finding.rule.c_str(), finding.message.c_str());
-    if (!entry.error.empty())
-      std::printf("    error: %s\n", entry.error.c_str());
-    std::fflush(stdout);
-    entries.push_back(std::move(entry));
-  }
-
-  if (!out_path.empty()) {
-    const auto parent = std::filesystem::path(out_path).parent_path();
-    if (!parent.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(parent, ec);  // best effort; fopen
-    }
-    if (!simlint::write_lint_json(out_path, filter, seed, entries)) {
-      std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::printf("lint: wrote %s\n", out_path.c_str());
-  }
-  std::printf("lint: %zu scenarios, %zu with unexpected races/leaks\n",
-              entries.size(), failures);
   return failures == 0 ? 0 : 1;
 }
 
@@ -644,10 +528,9 @@ int usage() {
       stderr,
       "usage: gridsim <command> [--options]\n"
       "commands:\n"
-      "  bench      engine micro-benchmarks -> BENCH_*.json\n"
+      "  bench      engine micro-benchmarks -> BENCH_micro.json\n"
       "  campaign   parallel experiment campaign -> CAMPAIGN.json\n"
       "  mc         ordering model-checker over wildcard matches -> MC.json\n"
-      "  lint       happens-before communication-race analyzer\n"
       "  coll       collective-algorithm registry + guideline verifier\n"
       "  replay     re-execute a model-checker deadlock witness\n"
       "run 'gridsim <command> --help' for the command's options\n");
@@ -665,7 +548,6 @@ int main(int argc, char** argv) {
     if (command == "bench") return cmd_bench(opt_argc, opt_argv);
     if (command == "campaign") return cmd_campaign(opt_argc, opt_argv);
     if (command == "mc") return cmd_mc(opt_argc, opt_argv);
-    if (command == "lint") return cmd_lint(opt_argc, opt_argv);
     if (command == "coll") return cmd_coll(opt_argc, opt_argv);
     if (command == "replay") return cmd_replay(opt_argc, opt_argv);
   } catch (const std::exception& e) {

@@ -1,7 +1,7 @@
 // Campaign engine tests: the parallel runner must be indistinguishable from
 // the serial one (per-scenario trace digests, registration-order
-// aggregation), and one misbehaving scenario must not take the campaign
-// down with it.
+// aggregation), one misbehaving scenario must not take the campaign down
+// with it, and every scenario carries its lint verdict.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,10 +14,13 @@
 
 #include "harness/campaign.hpp"
 #include "harness/scenario.hpp"
+#include "mpi/mpi.hpp"
+#include "profiles/profiles.hpp"
 #include "scenarios/catalog.hpp"
 #include "simcore/simulation.hpp"
 #include "simcore/sync.hpp"
 #include "simcore/trace.hpp"
+#include "topology/grid5000.hpp"
 
 namespace gridsim::harness {
 namespace {
@@ -315,6 +318,136 @@ TEST(Campaign, RendersTable4FromThePaperCatalog) {
     const std::string impl = name.substr(name.find('/') + 1);
     EXPECT_EQ(rows[i].rfind("  " + impl + " ", 0), 0u) << rows[i];
   }
+}
+
+// --- Lint verdicts ----------------------------------------------------------
+//
+// The campaign records every scenario's comm events and runs the simlint
+// happens-before analysis over them; a failing verdict fails the scenario.
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// A test-local scenario whose rank 1 sends a message that rank 0 never
+/// receives: the run completes, but the send is still queued at finalize.
+ScenarioResult unmatched_send(const ScenarioContext& ctx) {
+  Simulation sim;
+  ctx.hooks.on_start(sim);
+  topo::Grid grid(sim, topo::GridSpec::rennes_nancy(2));
+  {
+    mpi::Job job(grid, mpi::block_placement(grid, 2), profiles::mpich2(),
+                 tcp::KernelTunables::grid_tuned());
+    job.launch([](mpi::Rank& r) -> Task<void> {
+      if (r.rank() == 1) co_await r.send(0, 512, /*tag=*/9);
+      co_return;  // rank 0 never posts the receive
+    });
+    sim.run();
+  }
+  ctx.hooks.on_finish(sim);
+  ScenarioResult res;
+  res.add("ranks", 2);
+  return res;
+}
+
+TEST(CampaignLint, UnmatchedSendFailsTheScenarioWithLeaks) {
+  auto reg = small_registry();
+  ScenarioSpec leaky;
+  leaky.name = "bad/leaks";
+  leaky.group = "bad";
+  leaky.expected_metrics = {"ranks"};
+  leaky.run = unmatched_send;
+  reg.add(std::move(leaky));
+
+  CampaignOptions options;
+  options.jobs = 2;
+  const auto report = run_campaign(reg, options);
+  ASSERT_EQ(report.outcomes.size(), 7u);
+  EXPECT_EQ(report.failures(), 1u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_TRUE(report.outcomes[i].ok) << report.outcomes[i].name;
+    EXPECT_EQ(report.outcomes[i].verdict, "clean");
+  }
+  const ScenarioOutcome& bad = report.outcomes[6];
+  EXPECT_FALSE(bad.ok);
+  EXPECT_EQ(bad.status, "lint");
+  EXPECT_EQ(bad.verdict, "leaks");
+  EXPECT_EQ(bad.leaks, 1);
+  // The run itself completed, so its digest is still reported.
+  EXPECT_NE(bad.digest, 0u);
+  ASSERT_FALSE(bad.findings.empty());
+  EXPECT_EQ(bad.findings.front().rule, "R3-unmatched-send");
+  EXPECT_NE(bad.error.find("leaks"), std::string::npos) << bad.error;
+  EXPECT_NE(bad.error.find("rank 1 send#0"), std::string::npos) << bad.error;
+
+  const std::string path = ::testing::TempDir() + "campaign_leaks.json";
+  ASSERT_TRUE(write_campaign_json(path, report));
+  const std::string doc = read_file(path);
+  std::remove(path.c_str());
+  EXPECT_NE(doc.find("\"failures\": 1"), std::string::npos);
+  EXPECT_NE(doc.find("\"status\": \"lint\""), std::string::npos);
+  EXPECT_NE(doc.find("\"verdict\": \"leaks\""), std::string::npos);
+  EXPECT_NE(doc.find("\"rule\": \"R3-unmatched-send\""), std::string::npos);
+
+  // Lint off: nothing is analyzed, so the same run passes.
+  options.lint = false;
+  const auto unchecked = run_campaign(reg, options);
+  EXPECT_EQ(unchecked.failures(), 0u);
+  EXPECT_EQ(unchecked.outcomes[6].verdict, "none");
+}
+
+TEST(CampaignLint, WildcardRaceFixtureStaysOkWithExpectedRaces) {
+  CampaignOptions options;
+  options.filter = "lint/*";
+  const auto report = run_campaign(scenarios::paper_registry(), options);
+  ASSERT_EQ(report.outcomes.size(), 2u);
+  EXPECT_EQ(report.failures(), 0u);
+  const ScenarioOutcome& racy = report.outcomes[0];
+  ASSERT_EQ(racy.name, "lint/wildcard-race");
+  EXPECT_TRUE(racy.ok) << racy.error;
+  EXPECT_EQ(racy.verdict, "expected-races");
+  EXPECT_EQ(racy.races, 1);
+  ASSERT_FALSE(racy.findings.empty());
+  const simlint::Finding& f = racy.findings.front();
+  EXPECT_EQ(f.rule, "R1-wildcard-race");
+  // Both racing send sites are named.
+  EXPECT_NE(f.message.find("rank 1 send#0"), std::string::npos) << f.message;
+  EXPECT_NE(f.message.find("rank 2 send#0"), std::string::npos) << f.message;
+  const ScenarioOutcome& twin = report.outcomes[1];
+  EXPECT_TRUE(twin.ok) << twin.error;
+  EXPECT_EQ(twin.verdict, "clean");
+  EXPECT_TRUE(twin.findings.empty());
+}
+
+TEST(CampaignLint, JsonCarriesLintFieldsAndEscapesFindings) {
+  CampaignOptions options;
+  options.filter = "lint/*";
+  auto report = run_campaign(scenarios::paper_registry(), options);
+  ASSERT_EQ(report.outcomes.size(), 2u);
+  // A hand-made finding with characters JSON must escape.
+  report.outcomes[1].findings.push_back(
+      {"R3-tag-conflict", "error", "a\"b", "c\\d", "line\nbreak"});
+  const std::string path = ::testing::TempDir() + "campaign_lint.json";
+  ASSERT_TRUE(write_campaign_json(path, report));
+  const std::string doc = read_file(path);
+  std::remove(path.c_str());
+  EXPECT_NE(doc.find("\"failures\": 0"), std::string::npos);
+  EXPECT_NE(doc.find("\"verdict\": \"expected-races\", \"causal_sends\": "),
+            std::string::npos);
+  EXPECT_NE(doc.find("\"verdict\": \"clean\""), std::string::npos);
+  EXPECT_NE(doc.find("\"truncated\": false"), std::string::npos);
+  EXPECT_NE(doc.find("\"rule\": \"R1-wildcard-race\", \"severity\": "
+                     "\"warning\", \"site_a\": \"rank "),
+            std::string::npos);
+  EXPECT_NE(doc.find("\"site_a\": \"a\\\"b\", \"site_b\": \"c\\\\d\", "
+                     "\"message\": \"line\\u000abreak\""),
+            std::string::npos)
+      << doc;
+  // Still one scenario per line.
+  EXPECT_EQ(doc.find("line\nbreak"), std::string::npos);
 }
 
 // --- Determinism audit over the paper catalog ------------------------------

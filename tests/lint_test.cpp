@@ -1,13 +1,10 @@
 // Tests for the happens-before communication-race analyzer
 // (simlint/lint.hpp): vector-clock construction over synthetic comm
-// traces, the R1/R2/R3 rule engine over real engine runs, the catalog
-// fixture verdicts (the racy wildcard workload and its race-free twin),
-// and the gridsim-lint/1 report writer.
+// traces, the R1/R2/R3 rule engine over real engine runs, and the catalog
+// fixture verdicts (the racy wildcard workload and its race-free twin).
+// How the campaign reports these verdicts is tested in campaign_test.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "harness/scenario.hpp"
@@ -27,8 +24,8 @@ namespace {
 using mpi::CommEvent;
 using mpi::CommEventKind;
 
-/// Runs a registered scenario once with comm-event recording, like
-/// `gridsim lint` does, and returns the analysis.
+/// Runs a registered scenario once with comm-event recording, like the
+/// campaign does, and returns the analysis.
 LintSummary lint_scenario(const harness::ScenarioSpec& spec) {
   mpi::CommLog log;
   {
@@ -311,36 +308,6 @@ TEST(LintCatalog, ScriptedOrderTwinIsClean) {
   EXPECT_EQ(lint_status(lint, false), "clean");
   // The token adds a third cross-rank edge on top of the two matches.
   EXPECT_GE(lint.hb_edges, 3u);
-}
-
-// ---------------------------------------------------------------------------
-// Report writer
-// ---------------------------------------------------------------------------
-
-TEST(LintReport, WritesTheLintJsonSchema) {
-  ScenarioLintEntry clean;
-  clean.name = "lint/scripted-order";
-  clean.group = "lint";
-  clean.status = "clean";
-  ScenarioLintEntry racy;
-  racy.name = "lint/wildcard-race";
-  racy.group = "lint";
-  racy.status = "races";
-  racy.lint.races = 1;
-  racy.lint.findings.push_back({"R1-wildcard-race", "warning", "a", "b",
-                                "a races b"});
-  const std::string path =
-      ::testing::TempDir() + "lint_report_test.json";
-  ASSERT_TRUE(write_lint_json(path, "lint/*", 1, {clean, racy}));
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  std::remove(path.c_str());
-  EXPECT_NE(text.find("\"schema\": \"gridsim-lint/1\""), std::string::npos);
-  EXPECT_NE(text.find("\"failures\": 1"), std::string::npos);
-  EXPECT_NE(text.find("\"status\": \"clean\""), std::string::npos);
-  EXPECT_NE(text.find("\"rule\": \"R1-wildcard-race\""), std::string::npos);
 }
 
 }  // namespace

@@ -51,6 +51,21 @@ TEST(Replay, LoadRejectsGarbage) {
   EXPECT_THROW(CommTrace::load(s1), std::invalid_argument);
   std::stringstream s2("gridsim-trace 1 4 100\n1 2 3");  // truncated
   EXPECT_THROW(CommTrace::load(s2), std::invalid_argument);
+  // Records that would abort the replayed ranks are rejected at load.
+  std::stringstream neg_bytes("gridsim-trace 1 2 1\n0 0 1 -5 0\n");
+  EXPECT_THROW(CommTrace::load(neg_bytes), std::invalid_argument);
+  std::stringstream neg_tag("gridsim-trace 1 2 1\n0 0 1 100 -3\n");
+  EXPECT_THROW(CommTrace::load(neg_tag), std::invalid_argument);
+  // A huge header count is not an allocation request.
+  std::stringstream huge(
+      "gridsim-trace 1 2 18446744073709551615\n0 0 1 100 0\n");
+  EXPECT_THROW(CommTrace::load(huge), std::invalid_argument);
+  std::stringstream no_ranks("gridsim-trace 1 0 0\n");
+  EXPECT_THROW(CommTrace::load(no_ranks), std::invalid_argument);
+  std::stringstream bad_rank("gridsim-trace 1 2 1\n0 0 2 100 0\n");
+  EXPECT_THROW(CommTrace::load(bad_rank), std::invalid_argument);
+  std::stringstream nan_bytes("gridsim-trace 1 2 1\n0 0 1 nan 0\n");
+  EXPECT_THROW(CommTrace::load(nan_bytes), std::invalid_argument);
 }
 
 TEST(Replay, ReplayOnSameConfigApproximatesOriginal) {

@@ -260,6 +260,33 @@ TEST(Simmc, WitnessLoadRejectsGarbage) {
   EXPECT_FALSE(Witness::load(path + ".missing", &w, &error));
 }
 
+TEST(Simmc, WitnessLoadRejectsUnparsableFields) {
+  const std::string path = testing::TempDir() + "simmc_witness_fields";
+  const auto load = [&path](const std::string& seed_line,
+                            const std::string& choices_line,
+                            std::string* error) {
+    {
+      std::ofstream out(path);
+      out << "gridsim-mc-witness/1\nscenario mc/deadlock-fixture\n"
+          << seed_line << "\n" << choices_line << "\nend\n";
+    }
+    Witness w;
+    const bool ok = Witness::load(path, &w, error);
+    std::remove(path.c_str());
+    return ok;
+  };
+  std::string error;
+  EXPECT_TRUE(load("seed 7", "choices 1 0 2", &error)) << error;
+  EXPECT_FALSE(load("seed banana", "choices 1", &error));
+  EXPECT_NE(error.find("seed"), std::string::npos) << error;
+  EXPECT_FALSE(load("seed 7 8", "choices 1", &error));
+  EXPECT_FALSE(load("seed -1", "choices 1", &error));
+  EXPECT_FALSE(load("seed 7", "choices 1 x 7", &error));
+  EXPECT_NE(error.find("choices"), std::string::npos) << error;
+  EXPECT_FALSE(load("seed 7", "choices 1 -2", &error));
+  EXPECT_FALSE(load("seed 7", "choices 3x", &error));
+}
+
 TEST(Simmc, ResultDigestIsOrderInsensitiveAndValueSensitive) {
   harness::ScenarioResult a, b, c;
   a.add("x", 1.0).add("y", 2.0);

@@ -79,7 +79,7 @@ TEST(Tcp, WindowIsMinOfCwndAndBuffers) {
   KernelTunables k;
   TcpChannel ch(w.network, w.a, w.b, k, k, SocketOptions{});
   // Fresh connection: cwnd = 2 MSS is the binding term.
-  EXPECT_DOUBLE_EQ(ch.window(), 2 * ch.params().mss);
+  EXPECT_DOUBLE_EQ(ch.window(), 2 * tcp::kMss);
   EXPECT_EQ(ch.rtt(), 2 * 5800_us);
 }
 

@@ -79,7 +79,7 @@ TEST(Trace, TcpChannelEmitsCwndSamplesAndLosses) {
   EXPECT_EQ(losses.size(), static_cast<size_t>(ch.loss_events()));
   EXPECT_EQ(cwnd.front().subject, "a->b");
   // Samples are time-ordered and start from the initial window.
-  EXPECT_NEAR(cwnd.front().value, 2 * ch.params().mss, 1.0);
+  EXPECT_NEAR(cwnd.front().value, 2 * tcp::kMss, 1.0);
   for (size_t i = 1; i < cwnd.size(); ++i)
     EXPECT_GE(cwnd[i].at, cwnd[i - 1].at);
 }
