@@ -19,8 +19,8 @@
 //      - GridMPI (topology-aware): hierarchical algorithms that cross the
 //        WAN once, using one simultaneous stream per node pair ("multiple
 //        node-to-node connections", Matsuda et al. Cluster'06).
-//  * guideline verification (guidelines.hpp) — `gridsim coll --verify`
-//    sweeps profile x size x topology and flags self-contradictory
+//  * guideline verification (guidelines.hpp) — the coll/* campaign cells
+//    sweep profile x size x topology and flags self-contradictory
 //    selections (e.g. Allreduce slower than Reduce+Bcast).
 #pragma once
 

@@ -1,17 +1,13 @@
 #include "collectives/guidelines.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "collectives/collectives.hpp"
 #include "collectives/selector.hpp"
 #include "mpi/mpi.hpp"
-#include "simcore/json.hpp"
 
 namespace gridsim::coll {
 
@@ -24,17 +20,17 @@ using mpi::Rank;
 /// bookkeeping events can outlive the application, so Simulation::run()'s
 /// return value is not the app's makespan).
 double measure(const topo::GridSpec& spec, const mpi::ImplProfile& profile,
-               const tcp::KernelTunables& kernel, int nranks, bool cyclic,
+               const tcp::KernelTunables& kernel, bool cyclic,
                const SimHooks& hooks,
                const std::function<Task<void>(Rank&)>& body) {
   Simulation sim;
   if (hooks.on_start) hooks.on_start(sim);
   topo::Grid grid(sim, spec);
   mpi::Job job(grid,
-               cyclic ? mpi::cyclic_placement(grid, nranks)
-                      : mpi::block_placement(grid, nranks),
+               cyclic ? mpi::cyclic_placement(grid, kGuidelineRanks)
+                      : mpi::block_placement(grid, kGuidelineRanks),
                profile, kernel);
-  std::vector<SimTime> finish(static_cast<size_t>(nranks), 0);
+  std::vector<SimTime> finish(static_cast<size_t>(kGuidelineRanks), 0);
   job.launch([&body, &finish](Rank& r) -> Task<void> {
     co_await body(r);
     finish[static_cast<size_t>(r.rank())] = r.sim().now();
@@ -62,10 +58,9 @@ SizeTimes measure_size(const topo::GridSpec& spec,
                        const mpi::ImplProfile& profile,
                        const tcp::KernelTunables& kernel,
                        const GuidelineOptions& opt, double bytes) {
-  const int p = opt.nranks;
-  const double per_rank = bytes / p;
+  const double per_rank = bytes / kGuidelineRanks;
   auto run = [&](std::function<Task<void>(Rank&)> body) {
-    return measure(spec, profile, kernel, p, opt.cyclic, opt.hooks,
+    return measure(spec, profile, kernel, opt.cyclic, opt.hooks,
                    std::move(body));
   };
   SizeTimes t;
@@ -94,9 +89,9 @@ SizeTimes measure_size(const topo::GridSpec& spec,
 /// `nsites` comes from the deployment spec (block placement fills sites in
 /// order, so 16 ranks over these catalog specs reach every site).
 std::string chosen(const mpi::CollectiveSuite& suite, CollOp op, double bytes,
-                   int nranks, int nsites) {
+                   int nsites) {
   return std::string(to_string(op)) + "=" +
-         Selector::pick(suite, op, bytes, nranks, nsites).algo;
+         Selector::pick(suite, op, bytes, kGuidelineRanks, nsites).algo;
 }
 
 }  // namespace
@@ -106,8 +101,7 @@ GuidelineReport verify_guidelines(const topo::GridSpec& spec,
                                   const mpi::ImplProfile& profile,
                                   const tcp::KernelTunables& kernel,
                                   const GuidelineOptions& opt) {
-  if (opt.sizes.empty())
-    throw std::invalid_argument("verify_guidelines: no probe sizes");
+  const auto& sizes = kGuidelineSizes;
   const int nsites = static_cast<int>(spec.sites.size());
   GuidelineReport report;
 
@@ -129,36 +123,34 @@ GuidelineReport verify_guidelines(const topo::GridSpec& spec,
 
   const auto& suite = profile.collectives;
   std::vector<SizeTimes> times;
-  times.reserve(opt.sizes.size());
-  for (double bytes : opt.sizes)
+  times.reserve(sizes.size());
+  for (double bytes : sizes)
     times.push_back(measure_size(spec, profile, kernel, opt, bytes));
 
-  const double ctol = opt.composition_tolerance;
-  for (size_t i = 0; i < opt.sizes.size(); ++i) {
-    const double bytes = opt.sizes[i];
+  const double ctol = kCompositionTolerance;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    const double bytes = sizes[i];
     const SizeTimes& t = times[i];
     add("allreduce<=reduce+bcast", bytes, t.allreduce, t.reduce_then_bcast,
-        ctol,
-        chosen(suite, CollOp::kAllreduce, bytes, opt.nranks, nsites) + ", " +
-            chosen(suite, CollOp::kBcast, bytes, opt.nranks, nsites));
+        ctol, chosen(suite, CollOp::kAllreduce, bytes, nsites) + ", " +
+            chosen(suite, CollOp::kBcast, bytes, nsites));
     add("bcast<=scatter+allgather", bytes, t.bcast, t.scatter_then_allgather,
-        ctol, chosen(suite, CollOp::kBcast, bytes, opt.nranks, nsites));
+        ctol, chosen(suite, CollOp::kBcast, bytes, nsites));
     add("reduce_scatter<=reduce+scatter", bytes, t.reduce_scatter,
         t.reduce_then_scatter, ctol, "reduce_scatter=recursive-halving");
   }
 
-  const double mtol = opt.monotone_tolerance;
-  for (size_t i = 0; i + 1 < opt.sizes.size(); ++i) {
-    const double small = opt.sizes[i];
-    const double large = opt.sizes[i + 1];
+  const double mtol = kMonotoneTolerance;
+  for (size_t i = 0; i + 1 < sizes.size(); ++i) {
+    const double small = sizes[i];
+    const double large = sizes[i + 1];
     add("monotone-bcast", small, times[i].bcast, times[i + 1].bcast, mtol,
-        chosen(suite, CollOp::kBcast, small, opt.nranks, nsites) + " vs " +
-            chosen(suite, CollOp::kBcast, large, opt.nranks, nsites));
+        chosen(suite, CollOp::kBcast, small, nsites) + " vs " +
+            chosen(suite, CollOp::kBcast, large, nsites));
     add("monotone-allreduce", small, times[i].allreduce,
         times[i + 1].allreduce, mtol,
-        chosen(suite, CollOp::kAllreduce, small, opt.nranks, nsites) +
-            " vs " +
-            chosen(suite, CollOp::kAllreduce, large, opt.nranks, nsites));
+        chosen(suite, CollOp::kAllreduce, small, nsites) + " vs " +
+            chosen(suite, CollOp::kAllreduce, large, nsites));
   }
   return report;
 }
@@ -172,38 +164,6 @@ mpi::CollRules misruled_selector() {
   large.op = mpi::CollOp::kBcast;
   large.algo = "binomial";
   return {small, large};
-}
-
-bool write_coll_json(const std::string& path, const GuidelineReport& report) {
-  const std::filesystem::path dir =
-      std::filesystem::path(path).parent_path();
-  if (!dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) return false;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n  \"schema\": \"gridsim-coll/1\",\n");
-  std::fprintf(f, "  \"violations\": %d,\n", report.violations());
-  std::fprintf(f, "  \"cells\": [\n");
-  for (size_t i = 0; i < report.cells.size(); ++i) {
-    const GuidelineCell& c = report.cells[i];
-    std::fprintf(
-        f,
-        "    {\"guideline\": \"%s\", \"profile\": \"%s\", "
-        "\"topology\": \"%s\", \"bytes\": %.0f, \"lhs_s\": %.9f, "
-        "\"rhs_s\": %.9f, \"ratio\": %.4f, \"tolerance\": %.2f, "
-        "\"violated\": %s, \"detail\": \"%s\"}%s\n",
-        json_escape(c.guideline).c_str(), json_escape(c.profile).c_str(),
-        json_escape(c.topology).c_str(), c.bytes, c.lhs_s, c.rhs_s, c.ratio,
-        c.tolerance, c.violated ? "true" : "false",
-        json_escape(c.detail).c_str(),
-        i + 1 < report.cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
 }
 
 }  // namespace gridsim::coll

@@ -24,10 +24,11 @@
 // WAN bubble on ~every hop and a 1 kB broadcast costs 1.67x a 64 kB one —
 // a "monotone-bcast" violation, well clear of the honest worst case 0.56.
 //
-// `gridsim coll --verify` and the coll/* catalog scenarios drive this
-// sweep; write_coll_json emits the "gridsim-coll/1" report.
+// The coll/* catalog scenarios (scenarios/catalog_coll.cpp) drive this
+// sweep; `gridsim campaign --filter 'coll/*'` runs it.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -41,30 +42,29 @@ namespace gridsim::coll {
 
 /// Composition slack: the specialised collective may cost up to this factor
 /// of its composition before the guideline fires. Calibrated against the
-/// shipped tables: the worst honest cell is MPICH-Madeleine's binomial-only
-/// 1 MB broadcast on a cluster at ratio ~3.3 (a binomial tree moves each
-/// byte log2(p) times where scatter+allgather moves it ~twice), so 4.5
-/// leaves >35% headroom while still firing on selections that lose the
-/// composition race outright.
+/// shipped tables with a 1 MB probe: the worst honest cell is
+/// MPICH-Madeleine's binomial-only 1 MB broadcast on a cluster at ratio
+/// ~3.3 (a binomial tree moves each byte log2(p) times where
+/// scatter+allgather moves it ~twice), so 4.5 leaves >35% headroom while
+/// still firing on selections that lose the composition race outright.
 constexpr double kCompositionTolerance = 4.5;
 /// Monotonicity slack: a smaller payload may cost up to this factor of the
 /// next larger probe. Shipped selections are monotone (worst honest ratio
 /// ~0.56, on the cyclic grid); the misruled fixture reaches ~1.67 there.
 constexpr double kMonotoneTolerance = 1.25;
+/// Probe payload sizes (bytes), ascending. Spans both sides of every default
+/// cutoff (12 kB bcast, 2 kB allreduce).
+constexpr std::array<double, 2> kGuidelineSizes = {1e3, 64e3};
+/// Communicator size of every measured collective.
+constexpr int kGuidelineRanks = 16;
 
 struct GuidelineOptions {
-  /// Probe payload sizes (bytes), ascending. Spans both sides of every
-  /// default cutoff (12 kB bcast, 2 kB allreduce).
-  std::vector<double> sizes = {1e3, 64e3, 1e6};
-  int nranks = 16;
   /// Interleave ranks across sites (mpi::cyclic_placement) instead of the
   /// default block placement. This is the adversarial rank order the
   /// paper's introduction motivates: rank-ordered algorithms (the ring
   /// allgather) then cross the WAN on ~every step, which is what exposes a
   /// WAN-oblivious rule table.
   bool cyclic = false;
-  double composition_tolerance = kCompositionTolerance;
-  double monotone_tolerance = kMonotoneTolerance;
   /// Observed around every Simulation the sweep runs (campaign digesting).
   SimHooks hooks;
 };
@@ -107,8 +107,5 @@ GuidelineReport verify_guidelines(const topo::GridSpec& spec,
 /// the "monotone-bcast" guideline — the harness proving it can catch a bad
 /// rule table.
 mpi::CollRules misruled_selector();
-
-/// Writes the "gridsim-coll/1" JSON report. Returns false on I/O failure.
-bool write_coll_json(const std::string& path, const GuidelineReport& report);
 
 }  // namespace gridsim::coll

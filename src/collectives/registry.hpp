@@ -3,7 +3,7 @@
 //
 // Entries are typed per operation (a bcast algorithm and an allreduce
 // algorithm have different signatures) and carry the metadata the selector
-// and the `gridsim coll --list` table need: a canonical name, optional
+// and the `coll` group's rendered decision tables need: a canonical name, optional
 // aliases, a one-line description and whether the algorithm is WAN-aware
 // (splits the communicator by site). The registry is immutable and
 // process-wide — the algorithm set is the layer's API surface, pinned by

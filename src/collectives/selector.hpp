@@ -49,7 +49,7 @@ class Selector {
                                              mpi::CollOp op);
 
   /// Custom rules for `op` followed by the default table — the full
-  /// decision list `pick` scans, for `gridsim coll --list` and tests.
+  /// decision list `pick` scans, for the `coll` group renderer and tests.
   static mpi::CollRules effective_rules(const mpi::CollectiveSuite& suite,
                                         mpi::CollOp op);
 

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "harness/determinism.hpp"
@@ -18,12 +20,13 @@ namespace gridsim::harness {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 /// Findings kept per scenario (ScenarioOutcome::findings).
 constexpr std::size_t kMaxLintFindings = 16;
 
 double now_wall_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
+  return std::chrono::duration<double>(Clock::now().time_since_epoch())
       .count();
 }
 
@@ -73,8 +76,22 @@ SimHooks digest_hooks(DigestState* state) {
   return hooks;
 }
 
+/// The per-scenario watchdog budget for CampaignOptions::timeout_s;
+/// nullopt means no deadline. A budget the clock cannot represent is no
+/// deadline too, rather than an overflowed one that lands in the past.
+std::optional<Clock::duration> watchdog_budget(double timeout_s) {
+  if (!std::isfinite(timeout_s) || timeout_s < 0)
+    throw std::invalid_argument(
+        "campaign timeout_s must be finite and >= 0 (0 = no watchdog), got " +
+        std::to_string(timeout_s));
+  const std::chrono::duration<double> budget(timeout_s);
+  if (timeout_s == 0 || budget >= Clock::duration::max()) return std::nullopt;
+  return std::chrono::duration_cast<Clock::duration>(budget);
+}
+
 ScenarioOutcome run_one(const ScenarioSpec& spec,
-                        const CampaignOptions& options) {
+                        const CampaignOptions& options,
+                        std::optional<Clock::duration> watchdog) {
   ScenarioOutcome out;
   out.name = spec.name;
   out.group = spec.group;
@@ -98,12 +115,11 @@ ScenarioOutcome run_one(const ScenarioSpec& spec,
   // timed-out run abandons its suspended coroutine frames on purpose,
   // hence the leak exemption.
   std::optional<ScopedLeakExemption> leak_exemption;
-  if (options.timeout_s > 0) {
+  if (watchdog) {
     leak_exemption.emplace();
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(options.timeout_s));
+    const Clock::time_point now = Clock::now();
+    const Clock::time_point deadline =
+        now + std::min(*watchdog, Clock::time_point::max() - now);
     const SimHooks inner = ctx.hooks;
     ctx.hooks.on_start = [inner, deadline](Simulation& sim) {
       sim.set_wall_deadline(deadline);
@@ -184,6 +200,8 @@ CampaignReport run_campaign(const ScenarioRegistry& registry,
   CampaignReport report;
   report.filter = options.filter;
   report.seed = options.seed;
+  const std::optional<Clock::duration> watchdog =
+      watchdog_budget(options.timeout_s);
 
   const std::vector<std::size_t> selected = registry.match(options.filter);
   report.outcomes.resize(selected.size());
@@ -207,7 +225,7 @@ CampaignReport run_campaign(const ScenarioRegistry& registry,
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= selected.size()) return;
       const ScenarioSpec& spec = registry.scenarios()[selected[i]];
-      report.outcomes[i] = run_one(spec, options);
+      report.outcomes[i] = run_one(spec, options, watchdog);
       if (progress) {
         const std::lock_guard<std::mutex> lock(progress_mutex);
         progress(report.outcomes[i]);

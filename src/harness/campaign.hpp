@@ -40,7 +40,9 @@ struct CampaignOptions {
   /// Per-scenario wall-clock watchdog in seconds; 0 = none. A scenario that
   /// exceeds it is stopped at the next event boundary of whichever
   /// Simulation it is running (TimeoutError), reported with
-  /// `status == "timeout"`, and the rest of the campaign proceeds.
+  /// `status == "timeout"`, and the rest of the campaign proceeds. A budget
+  /// beyond steady_clock's range means none; NaN, infinite or negative
+  /// values make run_campaign throw std::invalid_argument.
   double timeout_s = 0;
   /// Record each scenario's comm-event log and run the simlint
   /// happens-before analysis over it, filling the ScenarioOutcome lint

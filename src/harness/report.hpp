@@ -1,6 +1,6 @@
-// Text output helpers for the experiment benches: aligned tables, CSV
-// series and coarse ASCII charts, so each bench binary's stdout reads like
-// the corresponding table/figure of the paper.
+// Text rendering helpers for the catalog's group renderers: aligned tables,
+// CSV series and coarse ASCII charts, so `gridsim campaign --render` reads
+// like the corresponding table/figure of the paper.
 #pragma once
 
 #include <string>
@@ -8,10 +8,9 @@
 
 namespace gridsim::harness {
 
-/// `# title` followed by an aligned table, as a string. The render_*
-/// variants exist so scenario workloads running on campaign worker threads
-/// can produce their reports without interleaving stdout; the print_*
-/// wrappers keep the direct-to-terminal convenience.
+/// `# title` followed by an aligned table, as a string. Rendering to a
+/// string lets scenario workloads running on campaign worker threads
+/// produce their reports without interleaving stdout.
 std::string render_table(const std::string& title,
                          const std::vector<std::string>& headers,
                          const std::vector<std::vector<std::string>>& rows);
@@ -28,23 +27,6 @@ std::string render_ascii_chart(const std::string& title,
                                const std::vector<std::string>& x_labels,
                                const std::vector<std::vector<double>>& values,
                                double y_max, const std::string& unit);
-
-/// Prints `# title` followed by an aligned table.
-void print_table(const std::string& title,
-                 const std::vector<std::string>& headers,
-                 const std::vector<std::vector<std::string>>& rows);
-
-/// Prints a CSV block (one header line + data lines) for plotting.
-void print_csv(const std::string& title,
-               const std::vector<std::string>& headers,
-               const std::vector<std::vector<std::string>>& rows);
-
-/// Log-x ASCII line chart, printed.
-void print_ascii_chart(const std::string& title,
-                       const std::vector<std::string>& series_names,
-                       const std::vector<std::string>& x_labels,
-                       const std::vector<std::vector<double>>& values,
-                       double y_max, const std::string& unit);
 
 std::string format_bytes(double bytes);
 std::string format_double(double v, int precision = 2);

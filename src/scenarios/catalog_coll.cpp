@@ -18,7 +18,12 @@
 //    registry/selector introspection surface and the name-based builder
 //    knobs (a policy name and the same policy spelled as raw selector
 //    rules must be indistinguishable).
+//
+// The group renderer prints every implementation's effective decision
+// table after the per-scenario notes.
 #include <algorithm>
+#include <climits>
+#include <cstdio>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -44,7 +49,6 @@ using mpi::CollOp;
 using mpi::Rank;
 
 constexpr int kCollRanks = 16;
-constexpr double kQuickSizes[] = {1e3, 64e3};
 
 mpi::CollRule pure_rule(CollOp op, const std::string& algo) {
   mpi::CollRule r;
@@ -97,7 +101,6 @@ coll::GuidelineReport sweep(const ScenarioContext& ctx,
   coll::GuidelineReport all;
   for (const auto& d : deployments()) {
     coll::GuidelineOptions opt;
-    opt.sizes.assign(std::begin(kQuickSizes), std::end(kQuickSizes));
     opt.cyclic = d.cyclic;
     opt.hooks = ctx.hooks;
     const coll::GuidelineReport rep =
@@ -157,7 +160,6 @@ void register_misrule(ScenarioRegistry& reg) {
     const profiles::ExperimentConfig cfg =
         profiles::experiment(impl).tuning(profiles::TuningLevel::kTcpTuned);
     coll::GuidelineOptions opt;
-    opt.sizes.assign(std::begin(kQuickSizes), std::end(kQuickSizes));
     opt.cyclic = true;
     opt.hooks = ctx.hooks;
     const coll::GuidelineReport rep = coll::verify_guidelines(
@@ -497,6 +499,37 @@ void register_builder_knobs(ScenarioRegistry& reg) {
   reg.add(std::move(spec));
 }
 
+/// `op`'s effective rules in `suite`, one line per rule, first match first.
+std::string decision_rows(const mpi::CollectiveSuite& suite, CollOp op) {
+  std::string out;
+  for (const auto& r : coll::Selector::effective_rules(suite, op)) {
+    std::string bytes_band = "any size";
+    const bool has_min = r.min_bytes > 0;
+    const bool has_max = r.max_bytes < 1e18;
+    if (has_min || has_max) {
+      bytes_band =
+          (has_min ? std::to_string(static_cast<long long>(r.min_bytes))
+                   : std::string("0")) +
+          ".." +
+          (has_max ? std::to_string(static_cast<long long>(r.max_bytes))
+                   : std::string("inf")) +
+          " B";
+    }
+    std::string extras;
+    if (r.min_ranks > 0 || r.max_ranks < INT_MAX)
+      extras += "  ranks " + std::to_string(r.min_ranks) + ".." +
+                (r.max_ranks < INT_MAX ? std::to_string(r.max_ranks) : "inf");
+    if (r.topo != mpi::TopoScope::kAny)
+      extras += std::string("  [") + mpi::to_string(r.topo) + "]";
+    char buf[256];
+    std::snprintf(buf, sizeof buf, "    %-9s -> %-18s %s%s\n",
+                  mpi::to_string(r.op).c_str(), r.algo.c_str(),
+                  bytes_band.c_str(), extras.c_str());
+    out += buf;
+  }
+  return out;
+}
+
 }  // namespace
 
 void register_coll_catalog(ScenarioRegistry& reg) {
@@ -512,11 +545,16 @@ void register_coll_catalog(ScenarioRegistry& reg) {
   register_builder_knobs(reg);
 
   reg.set_renderer("coll", [](const auto& specs, const auto& results) {
-    std::string out =
-        "Collective selector verification (see `gridsim coll`):\n";
+    std::string out = "Collective selector verification:\n";
     for (std::size_t i = 0; i < specs.size(); ++i)
       out += "  " + variant_of(specs[i]->name) + ": " + results[i]->note +
              "\n";
+    for (const auto& impl : profiles::all_implementations()) {
+      out += "\n# decision table: " + impl.name + " (first match wins)\n";
+      for (auto op : {CollOp::kBcast, CollOp::kAllreduce, CollOp::kAlltoall,
+                      CollOp::kBarrier})
+        out += decision_rows(impl.collectives, op);
+    }
     return out;
   });
 }

@@ -47,7 +47,7 @@ void register_mc_catalog(harness::ScenarioRegistry& reg);
 /// persistent sets collapse the exploration to one execution.
 void register_lint_catalog(harness::ScenarioRegistry& reg);
 
-/// The collective-algorithm layer (`gridsim coll`, docs/collectives.md):
+/// The collective-algorithm layer (docs/collectives.md):
 /// per-implementation performance-guideline sweeps that fail the campaign
 /// on any violation, the deliberately mis-ruled negative fixture that must
 /// be caught, registry-driven algorithm-equivalence sweeps, and the

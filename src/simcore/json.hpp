@@ -1,5 +1,5 @@
 // JSON string escaping shared by every report writer (CAMPAIGN.json,
-// MC.json, COLL.json, BENCH_micro.json).
+// MC.json, BENCH_micro.json).
 #pragma once
 
 #include <string>

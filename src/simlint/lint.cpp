@@ -179,10 +179,9 @@ JobLint analyze_job(const mpi::JobCommTrace& trace,
   };
 
   // --- Pass 2: rule engine ----------------------------------------------
-  const auto add_finding = [&](Finding f) {
-    if (out.findings.size() < max_findings)
-      out.findings.push_back(std::move(f));
-  };
+  // Counters are exact; a finding's strings are built only while the cap
+  // leaves room for it.
+  const auto has_room = [&] { return out.findings.size() < max_findings; };
   const auto tag_ok = [](int want_tag, int tag) {
     return want_tag == mpi::kAnyTag || want_tag == tag;
   };
@@ -210,28 +209,32 @@ JobLint analyze_job(const mpi::JobCommTrace& trace,
     const CommEvent& e = trace.events[i];
     if (e.kind == CommEventKind::kUnmatchedSend) {
       ++out.leaks;
+      if (!has_room()) continue;
       const std::string site =
           send_site_name(e.peer, e.peer_site, e.rank, e.tag);
-      add_finding({"R3-unmatched-send", "error", site, "",
-                   "message " + site + " was never received (still queued " +
-                       "at rank " + std::to_string(e.rank) +
-                       " at finalize)"});
+      out.findings.push_back(
+          {"R3-unmatched-send", "error", site, "",
+           "message " + site + " was never received (still queued " +
+               "at rank " + std::to_string(e.rank) + " at finalize)"});
     } else if (e.kind == CommEventKind::kUnmatchedRecv) {
       ++out.leaks;
+      if (!has_room()) continue;
       const std::string site =
           pending_recv_name(e.rank, e.want_src, e.want_tag);
-      add_finding({"R3-unmatched-recv", "error", site, "",
-                   site + " never completed (no matching send)"});
+      out.findings.push_back({"R3-unmatched-recv", "error", site, "",
+                              site + " never completed (no matching send)"});
     } else if (e.kind == CommEventKind::kRecvMatch &&
                e.want_tag == mpi::kAnyTag &&
                e.tag >= mpi::kCollectiveTagBase) {
       ++out.leaks;
+      if (!has_room()) continue;
       const std::string site =
           recv_site_name(e.rank, e.site, e.want_src, e.want_tag);
-      add_finding({"R3-tag-conflict", "error", site, "",
-                   site + " captured collective-phase traffic (tag " +
-                       std::to_string(e.tag) + " from rank " +
-                       std::to_string(e.peer) + ")"});
+      out.findings.push_back(
+          {"R3-tag-conflict", "error", site, "",
+           site + " captured collective-phase traffic (tag " +
+               std::to_string(e.tag) + " from rank " +
+               std::to_string(e.peer) + ")"});
     }
   }
 
@@ -276,14 +279,15 @@ JobLint analyze_job(const mpi::JobCommTrace& trace,
         wrelevant.insert(cand);
         if (matched != kNone && !hb(cand, matched) && !hb(matched, cand)) {
           const auto pair = std::minmax(matched, cand);
-          if (race_pairs.insert({pair.first, pair.second}).second) {
+          if (race_pairs.insert({pair.first, pair.second}).second &&
+              has_room()) {
             const CommEvent& ms = trace.events[matched];
             const CommEvent& cs = trace.events[cand];
             const std::string site_a =
                 send_site_name(ms.rank, ms.site, ms.peer, ms.tag);
             const std::string site_b =
                 send_site_name(cs.rank, cs.site, cs.peer, cs.tag);
-            add_finding(
+            out.findings.push_back(
                 {"R1-wildcard-race", "warning", site_a, site_b,
                  recv_site_name(e.rank, e.site, e.want_src, e.want_tag) +
                      " matched " + site_a + "; " + site_b +
@@ -320,15 +324,18 @@ JobLint analyze_job(const mpi::JobCommTrace& trace,
           wfirst_clock[r])
         continue;
       ++out.causal_sends;
-      const CommEvent& w = trace.events[wfirst_event[r]];
-      const std::string site_a =
-          send_site_name(cs.rank, cs.site, cs.peer, cs.tag);
-      const std::string site_b =
-          recv_site_name(w.rank, w.site, w.want_src, w.want_tag);
-      add_finding({"R2-causal-send", "note", site_a, site_b,
-                   site_a + " is enabled only after the wildcard match at " +
-                       site_b + "; quiescence-computed candidate sets may " +
-                       "be incomplete here"});
+      if (has_room()) {
+        const CommEvent& w = trace.events[wfirst_event[r]];
+        const std::string site_a =
+            send_site_name(cs.rank, cs.site, cs.peer, cs.tag);
+        const std::string site_b =
+            recv_site_name(w.rank, w.site, w.want_src, w.want_tag);
+        out.findings.push_back(
+            {"R2-causal-send", "note", site_a, site_b,
+             site_a + " is enabled only after the wildcard match at " +
+                 site_b + "; quiescence-computed candidate sets may " +
+                 "be incomplete here"});
+      }
       break;
     }
   }

@@ -5,8 +5,6 @@
 //                     [--timeout-s N] [--render] [--list]
 //   gridsim mc        [--scenario GLOB] [--max-execs N] [--ranks-cap K]
 //                     [--seed N] [--out DIR] [--no-hb] [--list]
-//   gridsim coll      [--list] [--verify] [--impl NAME] [--quick]
-//                     [--misrule] [--json OUT]
 //   gridsim replay    --witness FILE [--reps N]
 //
 // Every subcommand parses its flags through the typed OptionParser
@@ -40,31 +38,16 @@
 // reproduces deterministically. Writes MC.json (schema "gridsim-mc/1").
 // --no-hb disables the happens-before persistent-set reduction (simlint).
 //
-// `coll` exposes the collective-algorithm layer (docs/collectives.md):
-// --list prints the registered algorithms and each implementation's
-// selector decision table; --verify runs the Hunold-style performance
-// guideline sweep (composition + size monotonicity) over profile x size x
-// topology and exits non-zero on any violation. --misrule swaps in the
-// deliberately inverted bcast rule table, the negative fixture CI uses to
-// prove the harness can catch a bad selector.
-//
-// Implementations: TCP, MPICH2, GridMPI, MPICH-Madeleine, OpenMPI,
-// MPICH-G2.
+// The collective-algorithm layer's guideline sweep and decision tables are
+// the `coll/*` campaign group: `campaign --filter 'coll/*' --render`.
 #include <algorithm>
 #include <cinttypes>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "collectives/guidelines.hpp"
-#include "collectives/registry.hpp"
-#include "collectives/selector.hpp"
 #include "harness/campaign.hpp"
-#include "profiles/profiles.hpp"
 #include "scenarios/catalog.hpp"
 #include "simmc/mc.hpp"
 #include "tools/bench.hpp"
@@ -89,18 +72,6 @@ bool parse_or_exit(const OptionParser& parser, int argc, char** argv,
   }
   *status = 2;
   return false;
-}
-
-mpi::ImplProfile impl_by_name(const std::string& name) {
-  if (name == "TCP") return profiles::raw_tcp();
-  if (name == "MPICH-G2") return profiles::mpich_g2();
-  for (const auto& p : profiles::all_implementations())
-    if (p.name == name) return p;
-  std::fprintf(stderr,
-               "unknown implementation '%s' (TCP, MPICH2, GridMPI, "
-               "MPICH-Madeleine, OpenMPI, MPICH-G2)\n",
-               name.c_str());
-  std::exit(2);
 }
 
 int cmd_bench(int argc, char** argv) {
@@ -331,131 +302,6 @@ int cmd_mc(int argc, char** argv) {
   return failures == 0 ? 0 : 1;
 }
 
-/// One row of the `coll --list` decision table.
-void print_rules(const mpi::CollectiveSuite& suite, mpi::CollOp op) {
-  for (const auto& r : coll::Selector::effective_rules(suite, op)) {
-    std::string bytes_band = "any size";
-    const bool has_min = r.min_bytes > 0;
-    const bool has_max = r.max_bytes < 1e18;
-    if (has_min || has_max) {
-      bytes_band =
-          (has_min ? std::to_string(static_cast<long long>(r.min_bytes))
-                   : std::string("0")) +
-          ".." +
-          (has_max ? std::to_string(static_cast<long long>(r.max_bytes))
-                   : std::string("inf")) +
-          " B";
-    }
-    std::string extras;
-    if (r.min_ranks > 0 || r.max_ranks < INT_MAX)
-      extras += "  ranks " + std::to_string(r.min_ranks) + ".." +
-                (r.max_ranks < INT_MAX ? std::to_string(r.max_ranks) : "inf");
-    if (r.topo != mpi::TopoScope::kAny)
-      extras += std::string("  [") + mpi::to_string(r.topo) + "]";
-    std::printf("    %-9s -> %-18s %s%s\n", mpi::to_string(r.op).c_str(),
-                r.algo.c_str(), bytes_band.c_str(), extras.c_str());
-  }
-}
-
-int cmd_coll(int argc, char** argv) {
-  std::string impl_name = "all", out_path;
-  bool list = false, verify = false, quick = false, misrule = false;
-  OptionParser parser(
-      "coll",
-      "Collective-algorithm registry and selector guideline verifier.\n"
-      "--list prints the registered algorithms and each implementation's\n"
-      "decision table; --verify sweeps profile x size x topology and flags\n"
-      "self-contradictory selections (composition and size-monotonicity\n"
-      "guidelines, docs/collectives.md). Exits non-zero on any violation.");
-  parser.flag("list", &list, "print the registry and decision tables")
-      .flag("verify", &verify, "run the guideline sweep")
-      .string_opt("impl", &impl_name, "implementation name, or 'all'")
-      .flag("quick", &quick, "two probe sizes instead of three (CI smoke)")
-      .flag("misrule", &misrule,
-            "swap in the deliberately inverted bcast rule table (the\n"
-            "negative fixture: --verify must then FAIL on the grid)")
-      .string_opt("json", &out_path,
-                  "write a consolidated gridsim-coll/1 report to this path");
-  int status = 0;
-  if (!parse_or_exit(parser, argc, argv, &status)) return status;
-  if (!verify) list = true;  // default action
-
-  std::vector<mpi::ImplProfile> impls;
-  if (impl_name == "all") {
-    impls = profiles::all_implementations();
-  } else {
-    impls.push_back(impl_by_name(impl_name));
-  }
-  if (misrule)
-    for (auto& impl : impls)
-      impl.collectives.selector = coll::misruled_selector();
-
-  if (list) {
-    const auto& reg = coll::AlgorithmRegistry::instance();
-    std::printf("# registered algorithms\n");
-    const auto print_entry = [](const char* op, const auto& a) {
-      std::string name = a.name;
-      for (const auto& alias : a.aliases) name += " (alias: " + alias + ")";
-      std::printf("  %-9s %-32s %s%s\n", op, name.c_str(),
-                  a.wan_aware ? "[wan-aware] " : "", a.description.c_str());
-    };
-    for (const auto& a : reg.bcast()) print_entry("bcast", a);
-    for (const auto& a : reg.allreduce()) print_entry("allreduce", a);
-    for (const auto& a : reg.alltoall()) print_entry("alltoall", a);
-    for (const auto& a : reg.barrier()) print_entry("barrier", a);
-    for (const auto& impl : impls) {
-      std::printf("\n# decision table: %s%s (first match wins)\n",
-                  impl.name.c_str(), misrule ? " [misruled]" : "");
-      for (auto op : {mpi::CollOp::kBcast, mpi::CollOp::kAllreduce,
-                      mpi::CollOp::kAlltoall, mpi::CollOp::kBarrier})
-        print_rules(impl.collectives, op);
-    }
-  }
-
-  if (!verify) return 0;
-
-  coll::GuidelineReport all;
-  // Deployments: one cluster, the 8+8 grid with block placement, and the
-  // same grid with ranks interleaved across sites — the adversarial order
-  // where rank-ordered algorithms cross the WAN on ~every step.
-  const std::vector<std::tuple<std::string, topo::GridSpec, bool>>
-      deployments = {
-          {"cluster", topo::GridSpec::single_cluster(16), false},
-          {"grid", topo::GridSpec::rennes_nancy(8), false},
-          {"grid-cyclic", topo::GridSpec::rennes_nancy(8), true}};
-  for (const auto& impl : impls) {
-    const profiles::ExperimentConfig cfg =
-        profiles::experiment(impl).tuning(profiles::TuningLevel::kTcpTuned);
-    for (const auto& [label, spec, cyclic] : deployments) {
-      coll::GuidelineOptions opt;
-      if (quick) opt.sizes = {1e3, 64e3};
-      opt.cyclic = cyclic;
-      const coll::GuidelineReport rep = coll::verify_guidelines(
-          spec, label, cfg.profile, cfg.kernel, opt);
-      std::printf("coll verify %-16s %-8s %2zu cells, %d violation(s)\n",
-                  impl.name.c_str(), label.c_str(), rep.cells.size(),
-                  rep.violations());
-      for (const auto& c : rep.cells)
-        if (c.violated)
-          std::printf("    VIOLATION %-32s %8.0f B  ratio %.2f > %.2f  (%s)\n",
-                      c.guideline.c_str(), c.bytes, c.ratio, c.tolerance,
-                      c.detail.c_str());
-      all.cells.insert(all.cells.end(), rep.cells.begin(), rep.cells.end());
-    }
-  }
-
-  if (!out_path.empty()) {
-    if (!coll::write_coll_json(out_path, all)) {
-      std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::printf("coll: wrote %s\n", out_path.c_str());
-  }
-  std::printf("coll: %zu cells, %d violation(s)\n", all.cells.size(),
-              all.violations());
-  return all.violations() == 0 ? 0 : 1;
-}
-
 int cmd_replay(int argc, char** argv) {
   std::string witness_path;
   int reps = 2;
@@ -531,7 +377,6 @@ int usage() {
       "  bench      engine micro-benchmarks -> BENCH_micro.json\n"
       "  campaign   parallel experiment campaign -> CAMPAIGN.json\n"
       "  mc         ordering model-checker over wildcard matches -> MC.json\n"
-      "  coll       collective-algorithm registry + guideline verifier\n"
       "  replay     re-execute a model-checker deadlock witness\n"
       "run 'gridsim <command> --help' for the command's options\n");
   return 2;
@@ -548,7 +393,6 @@ int main(int argc, char** argv) {
     if (command == "bench") return cmd_bench(opt_argc, opt_argv);
     if (command == "campaign") return cmd_campaign(opt_argc, opt_argv);
     if (command == "mc") return cmd_mc(opt_argc, opt_argv);
-    if (command == "coll") return cmd_coll(opt_argc, opt_argv);
     if (command == "replay") return cmd_replay(opt_argc, opt_argv);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

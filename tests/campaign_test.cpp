@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -248,6 +250,49 @@ TEST(Campaign, TimeoutWatchdogDegradesGracefully) {
   EXPECT_NE(doc.find("\"status\": \"timeout\""), std::string::npos);
   EXPECT_NE(doc.find("\"status\": \"ok\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(Campaign, TimeoutBeyondTheClockRangeMeansNoDeadline) {
+  ScenarioRegistry reg;
+  ScenarioSpec busy;
+  busy.name = "busy/ticks";
+  busy.group = "busy";
+  busy.run = [](const ScenarioContext& ctx) -> ScenarioResult {
+    // More events than the engine's deadline-check stride, so an expired
+    // deadline would fire before the run completes.
+    Simulation sim;
+    ctx.hooks.on_start(sim);
+    int left = 40000;
+    std::function<void()> tick = [&] {
+      if (--left > 0) sim.after(10, tick);
+    };
+    tick();
+    sim.run();
+    ctx.hooks.on_finish(sim);
+    return ScenarioResult{};
+  };
+  reg.add(std::move(busy));
+
+  for (const double timeout_s : {1e300, 1e10}) {
+    CampaignOptions options;
+    options.timeout_s = timeout_s;
+    const auto report = run_campaign(reg, options);
+    ASSERT_EQ(report.outcomes.size(), 1u);
+    EXPECT_EQ(report.outcomes[0].status, "ok")
+        << timeout_s << ": " << report.outcomes[0].error;
+  }
+}
+
+TEST(Campaign, MalformedTimeoutThrows) {
+  const auto reg = small_registry();
+  for (const double timeout_s :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), -1.0}) {
+    CampaignOptions options;
+    options.timeout_s = timeout_s;
+    EXPECT_THROW(run_campaign(reg, options), std::invalid_argument)
+        << timeout_s;
+  }
 }
 
 TEST(Campaign, StatusFieldIsOkWithoutWatchdog) {
