@@ -52,7 +52,9 @@ void Solver::collect_component(const BipartiteIndex& index,
                                const std::vector<LinkId>& seed_links,
                                FlowState* seed_flow) {
   ++epoch_;
+  index_ = &index;
   comp_flows_.clear();
+  holes_ = 0;
   comp_links_.clear();
   bfs_stack_.clear();
 
@@ -78,13 +80,12 @@ void Solver::collect_component(const BipartiteIndex& index,
     for (FlowState* f : index.flows_on(l)) visit_flow(f);
   }
 
-  // The reference solver iterates links by ascending index and flows by
-  // ascending id; replicate both so tie-breaks land identically.
-  std::sort(comp_links_.begin(), comp_links_.end());
   std::sort(comp_flows_.begin(), comp_flows_.end(),
             [](const FlowState* a, const FlowState* b) {
               return a->order < b->order;
             });
+  for (std::size_t i = 0; i < comp_flows_.size(); ++i)
+    comp_flows_[i]->comp_pos = static_cast<std::uint32_t>(i);
 
   stats_.peak_component_flows =
       std::max(stats_.peak_component_flows, comp_flows_.size());
@@ -93,12 +94,10 @@ void Solver::collect_component(const BipartiteIndex& index,
 }
 
 void Solver::remove_from_component(FlowState* f) {
-  const auto it = std::find(comp_flows_.begin(), comp_flows_.end(), f);
-  if (it != comp_flows_.end()) comp_flows_.erase(it);
-}
-
-bool Solver::component_is_uncontended() const {
-  return comp_flows_.size() == 1;
+  if (!in_component(f) || comp_flows_[f->comp_pos] != f) return;
+  comp_flows_[f->comp_pos] = nullptr;
+  f->frozen = true;  // skipped by a bottleneck walk if still indexed
+  ++holes_;
 }
 
 void Solver::solve_uncontended(FlowState& f,
@@ -121,10 +120,58 @@ void Solver::solve_uncontended(FlowState& f,
   f.achievable = f.rate + slack;
 }
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The reference scan's share expression, +inf where the scan can never
+/// pick the link (no unfrozen flow).
+double link_share(double residual, int nflows) {
+  if (nflows <= 0) return kInf;
+  return std::max(0.0, residual) / nflows;
+}
+
+}  // namespace
+
+void Solver::freeze(FlowState& f, double rate) {
+  f.rate = rate;
+  f.frozen = true;
+  --unfrozen_;
+  for (LinkId l : f.links) {
+    const std::uint32_t i = link_slot_[static_cast<std::size_t>(l)];
+    residual_[i] -= rate;
+    --nflows_[i];
+    if (touched_[i] == 0) {
+      touched_[i] = 1;
+      touched_links_.push_back(i);
+    }
+  }
+}
+
+void Solver::rekey_touched() {
+  for (const std::uint32_t i : touched_links_) {
+    touched_[i] = 0;
+    const double share = link_share(residual_[i], nflows_[i]);
+    if (share == share_[i]) continue;  // its entry is still current
+    share_[i] = share;
+    if (share < kInf) {
+      link_heap_.push_back(LinkKey{share, comp_links_[i], i});
+      std::push_heap(link_heap_.begin(), link_heap_.end(), LinkKey::later);
+    }
+  }
+  touched_links_.clear();
+}
+
 void Solver::solve_component(const std::vector<double>& capacity) {
   ++stats_.solves;
-  if (comp_flows_.empty()) return;
-  if (comp_flows_.size() == 1) {
+  if (comp_flows_.size() - holes_ <= 1) {
+    if (holes_ != 0) {
+      comp_flows_.erase(
+          std::remove(comp_flows_.begin(), comp_flows_.end(), nullptr),
+          comp_flows_.end());
+      holes_ = 0;
+    }
+    if (comp_flows_.empty()) return;
     ++stats_.fast_solves;
     solve_uncontended(*comp_flows_.front(), capacity);
     return;
@@ -133,77 +180,74 @@ void Solver::solve_component(const std::vector<double>& capacity) {
   const std::size_t nl = comp_links_.size();
   residual_.resize(nl);
   nflows_.resize(nl);
+  share_.resize(nl);
+  touched_.resize(nl);
   for (std::size_t i = 0; i < nl; ++i) {
-    const LinkId l = comp_links_[i];
-    link_slot_[static_cast<std::size_t>(l)] = static_cast<std::uint32_t>(i);
-    residual_[i] = capacity[static_cast<std::size_t>(l)];
+    const auto l = static_cast<std::size_t>(comp_links_[i]);
+    link_slot_[l] = static_cast<std::uint32_t>(i);
+    residual_[i] = capacity[l];
     nflows_[i] = 0;
   }
 
-  unfrozen_.clear();
+  // Reset every flow, squeezing out remove_from_component()'s holes in the
+  // same pass (comp_flows_ keeps its order).
+  cap_heap_.clear();
+  std::size_t live = 0;
   for (FlowState* f : comp_flows_) {
+    if (f == nullptr) continue;
+    comp_flows_[live++] = f;
     f->rate = 0;
-    unfrozen_.push_back(f);
+    f->frozen = false;
+    if (f->rate_cap < kInf) cap_heap_.push_back(CapKey{f->rate_cap, f->order, f});
     for (LinkId l : f->links)
       ++nflows_[link_slot_[static_cast<std::size_t>(l)]];
   }
+  comp_flows_.resize(live);
+  holes_ = 0;
+  unfrozen_ = live;
+  std::make_heap(cap_heap_.begin(), cap_heap_.end(), CapKey::later);
 
-  // Progressive filling, restricted to the component. Identical structure
-  // and arithmetic to solve_global_reference(): repeatedly freeze at the
-  // tightest constraint — a link's equal share or an unfrozen flow's cap.
-  while (!unfrozen_.empty()) {
-    double best_link_share = std::numeric_limits<double>::infinity();
-    std::ptrdiff_t best_link = -1;
-    for (std::size_t i = 0; i < nl; ++i) {
-      if (nflows_[i] <= 0) continue;
-      const double share = std::max(0.0, residual_[i]) / nflows_[i];
-      if (share < best_link_share) {
-        best_link_share = share;
-        best_link = static_cast<std::ptrdiff_t>(i);
-      }
-    }
-    double best_cap = std::numeric_limits<double>::infinity();
-    FlowState* capped = nullptr;
-    for (FlowState* f : unfrozen_) {
-      if (f->rate_cap < best_cap) {
-        best_cap = f->rate_cap;
-        capped = f;
-      }
-    }
+  link_heap_.clear();
+  for (std::size_t i = 0; i < nl; ++i) {
+    share_[i] = link_share(residual_[i], nflows_[i]);
+    if (share_[i] < kInf)
+      link_heap_.push_back(
+          LinkKey{share_[i], comp_links_[i], static_cast<std::uint32_t>(i)});
+  }
+  std::make_heap(link_heap_.begin(), link_heap_.end(), LinkKey::later);
 
-    if (capped != nullptr && best_cap <= best_link_share) {
-      capped->rate = best_cap;
-      for (LinkId l : capped->links) {
-        const std::size_t i = link_slot_[static_cast<std::size_t>(l)];
-        residual_[i] -= best_cap;
-        --nflows_[i];
-      }
-      unfrozen_.erase(std::find(unfrozen_.begin(), unfrozen_.end(), capped));
-    } else if (best_link >= 0) {
-      const LinkId bottleneck = comp_links_[static_cast<std::size_t>(best_link)];
-      still_.clear();
-      for (FlowState* f : unfrozen_) {
-        const bool on_bottleneck =
-            std::find(f->links.begin(), f->links.end(), bottleneck) !=
-            f->links.end();
-        if (on_bottleneck) {
-          f->rate = best_link_share;
-          for (LinkId l : f->links) {
-            const std::size_t i = link_slot_[static_cast<std::size_t>(l)];
-            residual_[i] -= best_link_share;
-            --nflows_[i];
-          }
-        } else {
-          still_.push_back(f);
-        }
-      }
-      unfrozen_.swap(still_);
+  // Progressive filling, restricted to the component: repeatedly freeze at
+  // the tightest constraint — a link's equal share or an unfrozen flow's
+  // cap, the cap winning ties — exactly as solve_global_reference() does.
+  while (unfrozen_ > 0) {
+    while (!link_heap_.empty() &&
+           link_heap_.front().share != share_[link_heap_.front().slot]) {
+      std::pop_heap(link_heap_.begin(), link_heap_.end(), LinkKey::later);
+      link_heap_.pop_back();
+    }
+    while (!cap_heap_.empty() && cap_heap_.front().flow->frozen) {
+      std::pop_heap(cap_heap_.begin(), cap_heap_.end(), CapKey::later);
+      cap_heap_.pop_back();
+    }
+    const double best_link_share =
+        link_heap_.empty() ? kInf : link_heap_.front().share;
+
+    if (!cap_heap_.empty() && cap_heap_.front().cap <= best_link_share) {
+      freeze(*cap_heap_.front().flow, cap_heap_.front().cap);
+    } else if (!link_heap_.empty()) {
+      // Freeze every unfrozen flow crossing the bottleneck. Each crossed
+      // residual loses best_link_share once per such flow, whatever the
+      // walk order, so the arithmetic equals the reference's.
+      for (FlowState* f : index_->flows_on(link_heap_.front().link))
+        if (!f->frozen) freeze(*f, best_link_share);
     } else {
-      // Flows with no links (same-host loopback handled by caller); give
-      // them their cap.
-      for (FlowState* f : unfrozen_) f->rate = f->rate_cap;
-      unfrozen_.clear();
+      // Flows with no links (same-host loopback handled by caller), or
+      // only infinite-capacity ones; give them their cap.
+      for (FlowState* f : comp_flows_)
+        if (!f->frozen) f->rate = f->rate_cap;
+      break;
     }
+    rekey_touched();
   }
 
   // Post-solve: achievable rate = own rate + slack at the tightest crossed

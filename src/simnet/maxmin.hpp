@@ -24,10 +24,28 @@
 // Bit-exactness contract: progressive filling touches a component's
 // residuals and caps only through that component's own flows, so the global
 // pass decomposes into independent per-component passes with *identical*
-// floating-point arithmetic. `solve_component()` replicates the reference
-// loop's iteration order (links ascending, flows by stable order) and
-// operations exactly; the differential churn suite and the campaign-digest
-// oracle check in CI enforce that the two solvers agree to the last bit.
+// floating-point arithmetic. `solve_component()` freezes the same flows at
+// the same values in the same rounds as the reference loop, so every
+// residual receives the same subtractions of the same values; the
+// differential churn suite and the campaign-digest oracle check in CI
+// enforce that the two solvers agree to the last bit.
+//
+// What differs is how each round finds its freeze. The reference rescans
+// every link and every unfrozen flow per round; the component solver keeps
+//  - a min-heap of the component's links keyed by
+//    (max(0, residual) / nflows, LinkId) — the scan's strict `<` over
+//    ascending links picks exactly that minimum. A link with no unfrozen
+//    flow or an infinite share is never chosen by the scan and has no
+//    entry. A link whose share changes gets a fresh entry; the old one no
+//    longer matches the link's current share and is dropped when it
+//    surfaces;
+//  - a min-heap of the finite-cap flows keyed by (rate_cap, order) — the
+//    scan's strict `<` over flows in `order` picks exactly that minimum;
+//    frozen flows are dropped when they surface;
+// and freezes a bottleneck's flows by walking that link's index list,
+// skipping frozen flows. Only links whose residual or flow count changed in
+// a round are re-keyed, so a solve costs O((flows x route + links) log)
+// instead of O(rounds x (flows + links)).
 #pragma once
 
 #include <cstddef>
@@ -59,6 +77,10 @@ struct FlowState {
   std::uint64_t order = 0;
   /// Component-BFS epoch stamp (Solver-internal).
   std::uint64_t mark = 0;
+  /// Position in Solver::comp_flows() after collection (Solver-internal).
+  std::uint32_t comp_pos = 0;
+  /// Rate fixed in the current solve, or left out of it (Solver-internal).
+  bool frozen = false;
 };
 
 /// Persistent flow<->link incidence lists: for every link, the flows that
@@ -103,8 +125,9 @@ class Solver {
   /// Gathers the connected component of flows/links reachable from the
   /// dirty set: `seed_links` (the mutated link, or a mutated flow's route)
   /// plus an optional `seed_flow` (covers linkless flows). After this call
-  /// `comp_flows()` is sorted by FlowState::order and `comp_links()`
-  /// ascending — the orders the reference solver iterates in.
+  /// `comp_flows()` is sorted by FlowState::order (the order the Network
+  /// schedules completions in); `comp_links()` is in discovery order.
+  /// `index` must outlive the following solve_component().
   void collect_component(const BipartiteIndex& index,
                          const std::vector<LinkId>& seed_links,
                          FlowState* seed_flow);
@@ -112,12 +135,11 @@ class Solver {
   /// Drops one flow from the collected component (a departing flow is
   /// settled as part of its component but must not participate in the
   /// re-solve). The component stays valid: solving the remainder as one
-  /// subset equals solving its split parts independently.
+  /// subset equals solving its split parts independently. O(1): the flow's
+  /// entry becomes a hole that solve_component() squeezes out, so
+  /// comp_flows() holds a null entry until the next solve. Call it after
+  /// removing `f` from the index.
   void remove_from_component(FlowState* f);
-
-  /// True when the collected component is a single flow none of whose
-  /// links carry any other flow — the constant-time fast path applies.
-  bool component_is_uncontended() const;
 
   /// True when `f` was gathered by the latest collect_component().
   bool in_component(const FlowState* f) const { return f->mark == epoch_; }
@@ -134,18 +156,51 @@ class Solver {
 
  private:
   void solve_uncontended(FlowState& f, const std::vector<double>& capacity);
+  /// Fixes `f` at `rate` and charges it to its links, queueing every link
+  /// whose key changed for rekey_touched().
+  void freeze(FlowState& f, double rate);
+  /// Recomputes the share of every link freeze() touched and gives each
+  /// changed, still eligible link a fresh heap entry.
+  void rekey_touched();
 
+  // Heap entries. std heaps keep the *largest* element in front, so
+  // `later` puts the smallest (share, LinkId) or (rate_cap, order) there.
+  struct LinkKey {
+    double share;
+    LinkId link;
+    std::uint32_t slot;  // dense index
+    static bool later(const LinkKey& a, const LinkKey& b) {
+      if (a.share != b.share) return a.share > b.share;
+      return a.link > b.link;
+    }
+  };
+  struct CapKey {
+    double cap;
+    std::uint64_t order;
+    FlowState* flow;
+    static bool later(const CapKey& a, const CapKey& b) {
+      if (a.cap != b.cap) return a.cap > b.cap;
+      return a.order > b.order;
+    }
+  };
+
+  const BipartiteIndex* index_ = nullptr;  // of the latest collection
   std::uint64_t epoch_ = 0;
   std::vector<std::uint64_t> link_mark_;   // epoch stamps, by LinkId
   std::vector<std::uint32_t> link_slot_;   // dense index, valid iff marked
   std::vector<LinkId> bfs_stack_;
   std::vector<FlowState*> comp_flows_;
+  std::size_t holes_ = 0;  // null entries left by remove_from_component()
   std::vector<LinkId> comp_links_;
   // Dense per-component scratch, parallel to comp_links_.
   std::vector<double> residual_;
   std::vector<int> nflows_;
-  std::vector<FlowState*> unfrozen_;
-  std::vector<FlowState*> still_;
+  std::vector<double> share_;  // current key; +inf = never chosen
+  std::vector<char> touched_;  // queued in touched_links_; zero between solves
+  std::vector<std::uint32_t> touched_links_;
+  std::vector<LinkKey> link_heap_;  // may hold outdated entries
+  std::vector<CapKey> cap_heap_;    // finite-cap flows; may hold frozen ones
+  std::size_t unfrozen_ = 0;
   SolverStats stats_;
 };
 

@@ -204,7 +204,7 @@ void Network::cancel_flow(FlowId id) {
   begin_mutation(f.links, &f);
   index_.remove(&f);
   if (mode_ == SolverMode::kIncremental) solver_.remove_from_component(&f);
-  forget_done_pending(id);
+  forget_done_pending(f);
   flows_.erase(it);
   solve_and_schedule();
 }
@@ -369,7 +369,10 @@ void Network::schedule_after_component_solve() {
   // possible when their completion check is due at this exact instant.
   // Merge all three sets in the oracle's id order; every other flow
   // contributes no insertion there (the eta guard returns), so skipping
-  // them changes nothing.
+  // them changes nothing. comp_flows() is already in that order; anything
+  // appended forces a sort, which also drops an outside flow the eta heap
+  // held twice (an old entry can come live again when a later re-arm lands
+  // on the same eta).
   sched_scratch_.clear();
   for (maxmin::FlowState* fs : solver_.comp_flows())
     sched_scratch_.push_back(static_cast<Flow*>(fs));
@@ -383,22 +386,18 @@ void Network::schedule_after_component_solve() {
     if (solver_.in_component(&f)) continue;
     settle_flow(f);
     if (f.remaining > kByteEpsilon) continue;  // re-arms from its own check
-    if (std::find(done_pending_.begin(), done_pending_.end(), id) !=
-        done_pending_.end())
-      continue;
-    if (std::find(sched_scratch_.begin(), sched_scratch_.end(), &f) ==
-        sched_scratch_.end())
-      sched_scratch_.push_back(&f);
+    if (f.done_pos != kNotDonePending) continue;  // re-posted below
+    sched_scratch_.push_back(&f);
   }
-  for (FlowId id : done_pending_) {
-    auto it = flows_.find(id);
-    assert(it != flows_.end());
-    if (!solver_.in_component(&it->second))
-      sched_scratch_.push_back(&it->second);
-  }
-  if (sched_scratch_.size() > solver_.comp_flows().size())
+  for (Flow* f : done_pending_)
+    if (!solver_.in_component(f)) sched_scratch_.push_back(f);
+  if (sched_scratch_.size() > solver_.comp_flows().size()) {
     std::sort(sched_scratch_.begin(), sched_scratch_.end(),
               [](const Flow* a, const Flow* b) { return a->order < b->order; });
+    sched_scratch_.erase(
+        std::unique(sched_scratch_.begin(), sched_scratch_.end()),
+        sched_scratch_.end());
+  }
   for (Flow* f : sched_scratch_) schedule_completion(*f);
 }
 
@@ -419,10 +418,10 @@ void Network::schedule_completion(Flow& f) {
   const FlowId id = f.id;
   if (f.remaining <= kByteEpsilon) {
     const std::uint64_t gen = ++f.completion_gen;
-    if (mode_ == SolverMode::kIncremental &&
-        std::find(done_pending_.begin(), done_pending_.end(), id) ==
-            done_pending_.end())
-      done_pending_.push_back(id);
+    if (mode_ == SolverMode::kIncremental && f.done_pos == kNotDonePending) {
+      f.done_pos = done_pending_.size();
+      done_pending_.push_back(&f);
+    }
     sim_.post([this, id, gen] {
       auto it = flows_.find(id);
       if (it != flows_.end() && it->second.completion_gen == gen)
@@ -469,15 +468,19 @@ void Network::finish_flow(FlowId id) {
   std::function<void()> cb = std::move(f.on_complete);
   index_.remove(&f);
   if (mode_ == SolverMode::kIncremental) solver_.remove_from_component(&f);
-  forget_done_pending(id);
+  forget_done_pending(f);
   flows_.erase(it);
   solve_and_schedule();
   if (cb) cb();
 }
 
-void Network::forget_done_pending(FlowId id) {
-  auto it = std::find(done_pending_.begin(), done_pending_.end(), id);
-  if (it != done_pending_.end()) done_pending_.erase(it);
+void Network::forget_done_pending(Flow& f) {
+  if (f.done_pos == kNotDonePending) return;
+  Flow* moved = done_pending_.back();
+  done_pending_[f.done_pos] = moved;
+  moved->done_pos = f.done_pos;
+  done_pending_.pop_back();
+  f.done_pos = kNotDonePending;
 }
 
 }  // namespace gridsim::net

@@ -214,6 +214,8 @@ class Network {
   Simulation& sim() { return sim_; }
 
  private:
+  static constexpr std::size_t kNotDonePending = static_cast<std::size_t>(-1);
+
   struct Flow : maxmin::FlowState {
     FlowId id = kInvalidFlow;
     double remaining = 0;
@@ -223,6 +225,8 @@ class Network {
     SimTime last_settle = 0;  ///< per-flow settle anchor (lazy settle)
     /// First entry of `touch_times_` not yet applied to this flow.
     std::size_t settle_idx = 0;
+    /// Position in `done_pending_`, or kNotDonePending.
+    std::size_t done_pos = kNotDonePending;
   };
 
   /// Oracle mode: applies elapsed time to all flows' remaining-byte
@@ -255,7 +259,8 @@ class Network {
 
   void schedule_completion(Flow& f);
   void finish_flow(FlowId id);
-  void forget_done_pending(FlowId id);
+  /// Swap-pop removal from `done_pending_` (no-op if `f` is not in it).
+  void forget_done_pending(Flow& f);
 
   Simulation& sim_;
   std::vector<Host> hosts_;
@@ -273,8 +278,9 @@ class Network {
   /// previous one via the generation counter, deferring the finish past
   /// same-timestamp events inserted in between — so the incremental solver
   /// must re-post them too (the bulk completion path), or completion order
-  /// and the engine's event count drift from the oracle.
-  std::vector<FlowId> done_pending_;
+  /// and the engine's event count drift from the oracle. Unordered: each
+  /// flow knows its position (Flow::done_pos), and the bulk path sorts.
+  std::vector<Flow*> done_pending_;
   std::vector<Flow*> sched_scratch_;
   /// Completion-check etas, lazily invalidated (an entry is live iff the
   /// flow still exists with that exact scheduled_eta). The oracle's global

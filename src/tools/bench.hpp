@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -282,6 +283,64 @@ inline BenchRecord bench_flow_churn(bool quick, int concurrent,
   return r;
 }
 
+/// WAN-contention micro-sim: 1024 window-capped flows from distinct
+/// senders to distinct receivers, all crossing one 10 Gb/s WAN link, so
+/// every start and finish re-solves one 1024-flow component — the regime of
+/// the paper's NAS runs across the Rennes-Nancy link. Caps straddle the
+/// fair share, so both cap and link freezes occur. Each finished flow
+/// starts a replacement until `restarts` have started, then the rest drain.
+/// `events` counts solver re-solves, so `events_per_sec` is solves/s; the
+/// note carries the peak component size.
+inline BenchRecord bench_wan_contended(bool quick) {
+  constexpr int kFlows = 1024;
+  const int restarts = quick ? 1000 : 4000;
+  Simulation sim;
+  net::Network n(sim);
+  const net::LinkId wan = n.add_link("wan", 1.25e9, milliseconds(5), 1e6);
+  std::vector<net::HostId> src, dst;
+  for (int i = 0; i < kFlows; ++i) {
+    const std::string suffix = std::to_string(i);
+    src.push_back(n.add_host("s" + suffix));
+    dst.push_back(n.add_host("d" + suffix));
+    const net::LinkId up = n.add_link("up" + suffix, 1.25e8, 0, 1e6);
+    const net::LinkId down = n.add_link("down" + suffix, 1.25e8, 0, 1e6);
+    n.add_route(src.back(), dst.back(), {up, wan, down}, false);
+  }
+  std::uint64_t h = 0x2545f4914f6cdd1dULL;  // deterministic flow stream
+  int started = 0;
+  std::function<void(int)> start = [&](int i) {
+    h ^= h << 13;
+    h ^= h >> 7;
+    h ^= h << 17;
+    const double cap = 2e5 + 1e5 * static_cast<double>(h % 40);
+    const double bytes = 1e5 + 1e4 * static_cast<double>((h >> 8) % 100);
+    ++started;
+    const auto k = static_cast<std::size_t>(i);
+    n.start_flow(src[k], dst[k], bytes, cap, [&start, &started, restarts, i] {
+      if (started < kFlows + restarts) start(i);
+    });
+  };
+  for (int i = 0; i < kFlows; ++i) start(i);
+  const double t0 = detail::now_wall_s();
+  sim.run();
+  const double wall = detail::now_wall_s() - t0;
+  const auto& stats = n.solver_stats();
+  BenchRecord r;
+  r.name = "wan_contended_1024";
+  r.events = stats.solves;
+  r.wall_s = wall;
+  r.events_per_sec = static_cast<double>(r.events) / wall;
+  r.peak_queue_depth = sim.peak_queue_depth();
+  char buf[96];
+  std::snprintf(buf, sizeof buf,
+                "peak_component=%zu solves=%llu sim_events=%llu",
+                stats.peak_component_flows,
+                static_cast<unsigned long long>(stats.solves),
+                static_cast<unsigned long long>(sim.events_processed()));
+  r.note = buf;
+  return r;
+}
+
 /// Topology build: constructs `topo::Grid(rennes_nancy(hosts / 2))` and
 /// reports its wall time. `events` holds the host count and the note the
 /// VmHWM rise across the build, so it must run before anything else in the
@@ -329,6 +388,7 @@ inline std::vector<BenchRecord> run_micro_suite(bool quick, int reps) {
     out.push_back(
         bench_flow_churn(quick, concurrent, net::SolverMode::kGlobalOracle));
   }
+  out.push_back(best_of(bench_wan_contended, quick));
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -12,13 +13,15 @@ namespace gridsim::cli {
 namespace {
 
 /// Strict full-token numeric parses: trailing garbage ("12x") and empty
-/// tokens are errors, not silent truncations.
+/// tokens are errors, not silent truncations. A real must be finite:
+/// strtod's "nan" and "inf" spellings are malformed values here.
 bool parse_real(const std::string& s, double* out) {
   if (s.empty()) return false;
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  if (errno != 0 || end != s.c_str() + s.size() || !std::isfinite(v))
+    return false;
   *out = v;
   return true;
 }

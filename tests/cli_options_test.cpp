@@ -95,6 +95,26 @@ TEST(OptionParser, U64RejectsNegative) {
   EXPECT_EQ(seed, 18446744073709551615ull);
 }
 
+TEST(OptionParser, RealRejectsNonFinite) {
+  double timeout = 5;
+  OptionParser p("demo", "demo");
+  p.real_opt("timeout-s", &timeout, "");
+  for (const char* bad : {"nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                          "1e400", "abc"}) {
+    EXPECT_EQ(parse_tokens(p, {"--timeout-s", bad}),
+              OptionParser::Result::kError)
+        << bad;
+    EXPECT_EQ(timeout, 5) << bad;
+  }
+  EXPECT_EQ(parse_tokens(p, {"--timeout-s=nan"}), OptionParser::Result::kError);
+  // Large finite values still parse.
+  EXPECT_EQ(parse_tokens(p, {"--timeout-s", "1e300"}),
+            OptionParser::Result::kOk);
+  EXPECT_EQ(timeout, 1e300);
+  EXPECT_EQ(parse_tokens(p, {"--timeout-s", "-0.5"}), OptionParser::Result::kOk);
+  EXPECT_EQ(timeout, -0.5);
+}
+
 TEST(OptionParser, HelpListsOptionsAndDefaults) {
   int jobs = 4;
   bool quick = false;

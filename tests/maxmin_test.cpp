@@ -5,9 +5,15 @@
 // statistically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
+
+#include "simcore/rng.hpp"
 
 #include "simcore/simulation.hpp"
 #include "simnet/maxmin.hpp"
@@ -311,6 +317,182 @@ TEST(MaxMinSolver, ComponentSolveMatchesGlobalReference) {
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_EQ(inc[i].rate, ref[i].rate) << "flow " << i;
     EXPECT_EQ(inc[i].achievable, ref[i].achievable) << "flow " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Component solver vs the global reference, bitwise, on the cases where the
+// heap-driven freeze search must break ties exactly like the reference scan.
+// ---------------------------------------------------------------------------
+
+struct FlowSpec {
+  std::vector<maxmin::LinkId> links;
+  double cap = maxmin::kUnlimited;
+  std::uint64_t order = 0;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Solves `specs` with solve_global_reference and, separately, component
+/// by component with the incremental Solver, then requires every rate and
+/// achievable rate to match bit for bit. `removed` flows are added to the
+/// index and swap-pop removed again before solving (reordering the per-link
+/// lists); when `depart` is set, that flow is instead collected with its
+/// component and dropped by remove_from_component, as the Network does for
+/// a finishing flow.
+void expect_component_solve_matches_reference(
+    const std::vector<FlowSpec>& specs, const std::vector<double>& capacity,
+    const std::vector<std::size_t>& removed = {}, int depart = -1) {
+  const auto gone = [&](std::size_t i) {
+    return std::find(removed.begin(), removed.end(), i) != removed.end() ||
+           static_cast<int>(i) == depart;
+  };
+  const auto build = [&](std::vector<maxmin::FlowState>& fs) {
+    fs.resize(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      fs[i].links = specs[i].links;
+      fs[i].rate_cap = specs[i].cap;
+      fs[i].order = specs[i].order;
+    }
+  };
+
+  std::vector<maxmin::FlowState> ref;
+  build(ref);
+  std::vector<maxmin::FlowState*> by_order;
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    if (!gone(i)) by_order.push_back(&ref[i]);
+  std::sort(by_order.begin(), by_order.end(),
+            [](const auto* a, const auto* b) { return a->order < b->order; });
+  maxmin::solve_global_reference(by_order, capacity.size(), capacity);
+
+  std::vector<maxmin::FlowState> inc;
+  build(inc);
+  maxmin::BipartiteIndex index;
+  index.ensure_links(capacity.size());
+  maxmin::Solver solver;
+  solver.ensure_links(capacity.size());
+  for (auto& f : inc) index.add(&f);
+  for (std::size_t i : removed) index.remove(&inc[i]);
+  if (depart >= 0) {
+    maxmin::FlowState& d = inc[static_cast<std::size_t>(depart)];
+    solver.collect_component(index, d.links, &d);
+    index.remove(&d);
+    solver.remove_from_component(&d);
+    solver.solve_component(capacity);
+  }
+  std::vector<bool> solved(inc.size(), false);
+  for (std::size_t i = 0; i < inc.size(); ++i) {
+    if (gone(i) || solved[i]) continue;
+    solver.collect_component(index, inc[i].links, &inc[i]);
+    for (std::size_t j = 0; j < inc.size(); ++j)
+      if (!gone(j) && solver.in_component(&inc[j])) solved[j] = true;
+    solver.solve_component(capacity);
+  }
+  for (std::size_t i = 0; i < inc.size(); ++i) {
+    if (gone(i)) continue;
+    EXPECT_EQ(bits(inc[i].rate), bits(ref[i].rate))
+        << "flow " << i << ": " << inc[i].rate << " vs " << ref[i].rate;
+    EXPECT_EQ(bits(inc[i].achievable), bits(ref[i].achievable))
+        << "flow " << i << ": " << inc[i].achievable << " vs "
+        << ref[i].achievable;
+  }
+}
+
+TEST(MaxMinSolver, EqualLinkSharesFreezeTheLowestLinkIdFirst) {
+  // Links 1 and 2 tie at 1/3 (1.0/3 and 2.0/6 round to the same double)
+  // and share flow 0, so which one freezes first decides the inexact
+  // residuals the others see. Link 0 (id below both) is slack.
+  const std::vector<double> capacity = {10.0, 1.0, 2.0, 0.9};
+  ASSERT_EQ(bits(capacity[1] / 3), bits(capacity[2] / 6));
+  std::vector<FlowSpec> specs = {
+      {{1, 2, 0}}, {{1}}, {{1, 3}},
+      {{2, 3}},    {{2}}, {{2}}, {{2, 0}}, {{2}},
+  };
+  for (std::size_t i = 0; i < specs.size(); ++i) specs[i].order = 10 - i;
+  expect_component_solve_matches_reference(specs, capacity);
+}
+
+TEST(MaxMinSolver, CapEqualToTheLinkShareWinsTheTie) {
+  // Flow 1's cap equals link 0's share exactly: `<=` freezes the cap
+  // first, one flow at a time, not the whole link.
+  const std::vector<double> capacity = {1.0, 0.7};
+  std::vector<FlowSpec> specs = {{{0}}, {{0, 1}}, {{0}}, {{1}}};
+  specs[1].cap = capacity[0] / 3;
+  for (std::size_t i = 0; i < specs.size(); ++i) specs[i].order = i;
+  expect_component_solve_matches_reference(specs, capacity);
+}
+
+TEST(MaxMinSolver, EqualCapsFreezeTheLowestOrderFirst) {
+  // Flows 0 and 1 share link 0 with the same cap, equal to the link's
+  // share. Whichever freezes first keeps its cap; in floating point the
+  // share left for the rest then drops an ulp below that cap, so the other
+  // is frozen at the share instead. The lower `order` (flow 1, not the
+  // lower index) must win, as in the reference's scan over flows in order.
+  const std::vector<double> capacity = {2.1};
+  const double cap = capacity[0] / 3;
+  ASSERT_LT((capacity[0] - cap) / 2, cap);
+  const std::vector<FlowSpec> specs = {
+      {{0}, cap, 7}, {{0}, cap, 3}, {{0}, maxmin::kUnlimited, 5}};
+  expect_component_solve_matches_reference(specs, capacity);
+}
+
+TEST(MaxMinSolver, InfiniteCapacityLinkIsNeverTheBottleneck) {
+  // Link 0 is unbounded: its share is +inf, so only caps and link 1 can
+  // freeze flows; flow 2 crosses nothing finite and ends at its (infinite)
+  // cap, exactly as the reference's fall-through branch does.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> capacity = {inf, 3e7};
+  std::vector<FlowSpec> specs = {
+      {{0, 1}}, {{0}, 2e6}, {{0}}, {{1}, 1e7},
+  };
+  for (std::size_t i = 0; i < specs.size(); ++i) specs[i].order = i;
+  expect_component_solve_matches_reference(specs, capacity);
+}
+
+TEST(MaxMinSolver, SwapPopReorderedLinkListsKeepReferenceRates) {
+  // Removals swap-pop the per-link lists out of `order`; the bottleneck
+  // walk visits flows in list order, which must not matter. One flow also
+  // departs through remove_from_component, leaving a hole in the
+  // collected component.
+  const std::vector<double> capacity = {1.0, 0.3, 0.77, 5.0};
+  std::vector<FlowSpec> specs;
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    FlowSpec f;
+    f.links = {0, static_cast<maxmin::LinkId>(1 + i % 3)};
+    f.cap = i % 4 == 1 ? 0.05 : maxmin::kUnlimited;
+    f.order = (i * 7) % 12;
+    specs.push_back(f);
+  }
+  expect_component_solve_matches_reference(specs, capacity, {0, 4, 5});
+  expect_component_solve_matches_reference(specs, capacity, {0, 4, 5}, 8);
+  expect_component_solve_matches_reference(specs, capacity, {}, 3);
+}
+
+TEST(MaxMinSolver, RandomComponentsWithTiesMatchReference) {
+  // Capacities, caps and routes drawn from small sets so equal shares,
+  // cap/share ties and equal caps are common.
+  Rng rng(18);
+  const double caps[] = {0.1, 0.25, 1.0 / 3, 0.5, maxmin::kUnlimited};
+  for (int round = 0; round < 200; ++round) {
+    const auto nlinks = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    std::vector<double> capacity(nlinks);
+    for (double& c : capacity)
+      c = static_cast<double>(rng.uniform_int(1, 4)) * (1.0 / 3);
+    std::vector<FlowSpec> specs(static_cast<std::size_t>(rng.uniform_int(1, 14)));
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      for (std::size_t l = 0; l < nlinks; ++l)
+        if (rng.uniform_int(0, 2) == 0)
+          specs[i].links.push_back(static_cast<maxmin::LinkId>(l));
+      specs[i].cap = caps[rng.uniform_int(0, 4)];
+      specs[i].order = i;
+    }
+    rng.shuffle(specs);  // order no longer follows the index
+    std::vector<std::size_t> removed;
+    if (specs.size() > 3 && rng.uniform_int(0, 1) == 1) removed = {1};
+    const int depart = specs.size() > 2 ? 0 : -1;
+    SCOPED_TRACE(round);
+    expect_component_solve_matches_reference(specs, capacity, removed,
+                                             depart);
   }
 }
 

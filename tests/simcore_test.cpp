@@ -2,7 +2,11 @@
 // primitives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simcore/rng.hpp"
@@ -63,6 +67,105 @@ TEST(EventQueue, NextTime) {
   EXPECT_EQ(q.next_time(), kSimTimeNever);
   q.schedule(7, [] {});
   EXPECT_EQ(q.next_time(), 7);
+}
+
+// A seeded random schedule against a reference ordered set keyed by
+// (time, insertion index). It mixes post(), at(now()), future at(),
+// callbacks that schedule from inside, same-time cascades long enough to
+// make the queue's same-time lane compact, and run_until() jumps that move
+// now() past the last executed event. Every pop must be the reference's
+// minimum, and the event count, depth and high-water mark must match.
+class LaneHarness {
+ public:
+  explicit LaneHarness(std::uint64_t seed) : rng_(seed) {}
+
+  void run() {
+    for (int phase = 0; phase < 40; ++phase) {
+      const int batch = static_cast<int>(rng_.uniform_int(0, 12));
+      for (int i = 0; i < batch; ++i) schedule_random();
+      if (phase % 7 == 3) cascade(300);  // > the lane's compaction minimum
+      const SimTime horizon =
+          sim_.now() + static_cast<SimTime>(rng_.uniform_int(0, 40));
+      sim_.run_until(horizon);
+      EXPECT_EQ(sim_.now(), horizon);
+      EXPECT_EQ(sim_.queue_depth(), ref_.size());
+      // After the jump now() is past the last executed event: these land
+      // at now() but go through the ordinary (time, seq) path.
+      if (rng_.uniform_int(0, 1) == 1) schedule_at(sim_.now());
+    }
+    sim_.run();
+    EXPECT_TRUE(ref_.empty());
+    EXPECT_EQ(mismatches_, 0u);
+    EXPECT_EQ(sim_.events_processed(), popped_);
+    EXPECT_EQ(popped_, next_id_);
+    EXPECT_EQ(sim_.queue_depth(), 0u);
+    EXPECT_EQ(sim_.peak_queue_depth(), ref_peak_);
+  }
+
+  std::uint64_t popped() const { return popped_; }
+
+ private:
+  void schedule_at(SimTime t) {
+    const std::uint64_t id = next_id_++;
+    ref_.emplace(t, id);
+    ref_peak_ = std::max(ref_peak_, ref_.size());
+    const auto fire = [this, id, t] { on_fire(id, t); };
+    if (t == sim_.now() && rng_.uniform_int(0, 1) == 0) {
+      sim_.post(fire);
+    } else {
+      sim_.at(t, fire);
+    }
+  }
+
+  void schedule_random() {
+    const auto kind = rng_.uniform_int(0, 3);
+    const SimTime dt = kind < 2 ? 0 : static_cast<SimTime>(
+                                          rng_.uniform_int(1, 25));
+    schedule_at(sim_.now() + dt);
+  }
+
+  /// `n` same-time events, each of which posts one more.
+  void cascade(int n) {
+    for (int i = 0; i < n; ++i) {
+      const std::uint64_t id = next_id_++;
+      const SimTime t = sim_.now();
+      ref_.emplace(t, id);
+      ref_peak_ = std::max(ref_peak_, ref_.size());
+      sim_.post([this, id, t] {
+        on_fire(id, t);
+        schedule_at(sim_.now());
+      });
+    }
+  }
+
+  void on_fire(std::uint64_t id, SimTime t) {
+    const std::pair<SimTime, std::uint64_t> key{t, id};
+    if (ref_.empty() || *ref_.begin() != key || sim_.now() != t) ++mismatches_;
+    ref_.erase(key);
+    ++popped_;
+    if (budget_ == 0) return;
+    const auto children = rng_.uniform_int(0, 2);
+    for (std::int64_t c = 0; c < children && budget_ > 0; ++c, --budget_)
+      schedule_random();
+  }
+
+  Simulation sim_;
+  Rng rng_;
+  std::set<std::pair<SimTime, std::uint64_t>> ref_;
+  std::size_t ref_peak_ = 0;
+  std::uint64_t next_id_ = 0;
+  std::uint64_t popped_ = 0;
+  std::uint64_t mismatches_ = 0;
+  int budget_ = 4000;
+};
+
+TEST(EventQueue, SameTimeLaneKeepsTimeSeqOrder) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    LaneHarness h(seed);
+    h.run();
+    EXPECT_GT(h.popped(), 2000u);
+  }
 }
 
 TEST(Simulation, NowAdvancesWithEvents) {
