@@ -4,8 +4,7 @@
 #include <cassert>
 
 #include "collectives/collectives.hpp"
-#include "mpi/mpi.hpp"
-#include "simcore/simulation.hpp"
+#include "mpi/run_job.hpp"
 
 namespace gridsim::apps {
 
@@ -27,6 +26,7 @@ struct Shared {
 
 Task<void> master_body(Rank& r, Shared* sh) {
   const int slaves = r.size() - 1;
+  sh->sets_per_slave.assign(static_cast<size_t>(slaves), 0);
   int sets_left = sh->app->total_rays / sh->app->rays_per_set;
   int stopped = 0;
   co_await r.compute(sh->app->init_write_seconds / 2);
@@ -71,41 +71,39 @@ Task<void> slave_body(Rank& r, const Ray2MeshConfig* app) {
 Ray2MeshResult run_ray2mesh(const topo::GridSpec& spec, int master_site,
                             const profiles::ExperimentConfig& cfg,
                             const Ray2MeshConfig& app, const SimHooks& hooks) {
-  Simulation sim;
-  if (hooks.on_start) hooks.on_start(sim);
-  topo::Grid grid(sim, spec);
-  auto faults = topo::install_faults(grid, cfg.faults);
-  // Rank 0: master, co-located with the first slave of its cluster.
-  std::vector<net::HostId> placement;
-  placement.push_back(grid.node(master_site, 0));
-  for (int s = 0; s < grid.site_count(); ++s)
-    for (int n = 0; n < grid.nodes_at(s); ++n)
-      placement.push_back(grid.node(s, n));
-  mpi::Job job(grid, placement, cfg.profile, cfg.kernel);
-
   Shared sh;
   sh.app = &app;
-  sh.sets_per_slave.assign(static_cast<size_t>(job.size() - 1), 0);
-  sim.spawn(master_body(job.rank(0), &sh));
-  for (int s = 1; s < job.size(); ++s)
-    sim.spawn(slave_body(job.rank(s), &app));
-  sim.run();
-  if (hooks.on_finish) hooks.on_finish(sim);
+  const mpi::JobResult run = mpi::run_job(
+      spec,
+      [master_site](const topo::Grid& grid) {
+        // Rank 0: master, co-located with the first slave of its cluster.
+        std::vector<net::HostId> placement{grid.node(master_site, 0)};
+        for (int s = 0; s < grid.site_count(); ++s)
+          for (int n = 0; n < grid.nodes_at(s); ++n)
+            placement.push_back(grid.node(s, n));
+        return placement;
+      },
+      cfg.profile, cfg.kernel, cfg.faults,
+      [&sh, &app](Rank& r) {
+        return r.rank() == 0 ? master_body(r, &sh) : slave_body(r, &app);
+      },
+      hooks);
 
   Ray2MeshResult result;
   result.rays_per_slave.reserve(sh.sets_per_slave.size());
   for (int sets : sh.sets_per_slave)
     result.rays_per_slave.push_back(sets * app.rays_per_set);
-  result.rays_per_site.assign(static_cast<size_t>(grid.site_count()), 0);
-  for (int s = 1; s < job.size(); ++s) {
-    const int site = grid.site_of(job.rank(s).host());
-    result.rays_per_site[static_cast<size_t>(site)] +=
-        result.rays_per_slave[static_cast<size_t>(s - 1)];
+  // Slaves are placed site by site, node by node.
+  size_t slave = 0;
+  for (const topo::SiteSpec& site : spec.sites) {
+    int rays = 0;
+    for (int n = 0; n < site.nodes; ++n) rays += result.rays_per_slave[slave++];
+    result.rays_per_site.push_back(rays);
   }
   result.compute_time = sh.compute_done;
   result.merge_time = sh.merge_done - sh.compute_done;
   result.total_time = sh.total_done;
-  result.degraded_progress_events = job.degraded_progress_events();
+  result.degraded_progress_events = run.degraded_progress_events;
   return result;
 }
 

@@ -4,8 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "mpi/mpi.hpp"
-#include "simcore/simulation.hpp"
+#include "mpi/run_job.hpp"
 
 namespace gridsim::apps {
 
@@ -53,17 +52,18 @@ SimriResult run_simri(const topo::GridSpec& spec, int nodes,
   if (nodes < 2) throw std::invalid_argument("simri needs >= 2 nodes");
   if (spec.sites.empty() || spec.sites[0].nodes < nodes)
     throw std::invalid_argument("first site too small for requested nodes");
-  Simulation sim;
-  topo::Grid grid(sim, spec);
-  std::vector<net::HostId> placement;
-  for (int n = 0; n < nodes; ++n) placement.push_back(grid.node(0, n));
-  mpi::Job job(grid, placement, cfg.profile, cfg.kernel);
-
   Shared sh;
   sh.app = &app;
-  sim.spawn(master_body(job.rank(0), &sh));
-  for (int s = 1; s < nodes; ++s) sim.spawn(slave_body(job.rank(s), &app));
-  sim.run();
+  mpi::run_job(
+      spec,
+      [nodes](const topo::Grid& grid) {
+        std::vector<net::HostId> placement;
+        for (int n = 0; n < nodes; ++n) placement.push_back(grid.node(0, n));
+        return placement;
+      },
+      cfg.profile, cfg.kernel, cfg.faults, [&sh, &app](Rank& r) {
+        return r.rank() == 0 ? master_body(r, &sh) : slave_body(r, &app);
+      });
 
   SimriResult res;
   res.total_time = sh.total_done;
@@ -73,7 +73,7 @@ SimriResult run_simri(const topo::GridSpec& spec, int nodes,
   const double vectors = double(app.object_n) * app.object_n;
   const double slave_compute_ref =
       vectors / slaves * app.vector_compute_seconds;
-  const double speed = grid.cpu_speed(grid.node(0, 1));
+  const double speed = spec.sites[0].cpu_speed;
   const SimTime compute_span = from_seconds(slave_compute_ref / speed);
   res.comm_time = res.total_time - compute_span;
   res.comm_fraction = to_seconds(res.comm_time) / to_seconds(res.total_time);

@@ -1,13 +1,11 @@
 #include "collectives/guidelines.hpp"
 
-#include <algorithm>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "collectives/collectives.hpp"
 #include "collectives/selector.hpp"
-#include "mpi/mpi.hpp"
+#include "mpi/run_job.hpp"
 
 namespace gridsim::coll {
 
@@ -16,30 +14,18 @@ namespace {
 using mpi::CollOp;
 using mpi::Rank;
 
-/// Makespan of one SPMD body: max per-rank finish time (stale network
-/// bookkeeping events can outlive the application, so Simulation::run()'s
-/// return value is not the app's makespan).
+/// Makespan of one SPMD body, in seconds.
 double measure(const topo::GridSpec& spec, const mpi::ImplProfile& profile,
                const tcp::KernelTunables& kernel, bool cyclic,
-               const SimHooks& hooks,
-               const std::function<Task<void>(Rank&)>& body) {
-  Simulation sim;
-  if (hooks.on_start) hooks.on_start(sim);
-  topo::Grid grid(sim, spec);
-  mpi::Job job(grid,
-               cyclic ? mpi::cyclic_placement(grid, kGuidelineRanks)
-                      : mpi::block_placement(grid, kGuidelineRanks),
-               profile, kernel);
-  std::vector<SimTime> finish(static_cast<size_t>(kGuidelineRanks), 0);
-  job.launch([&body, &finish](Rank& r) -> Task<void> {
-    co_await body(r);
-    finish[static_cast<size_t>(r.rank())] = r.sim().now();
-  });
-  sim.run();
-  if (hooks.on_finish) hooks.on_finish(sim);
-  SimTime worst = 0;
-  for (SimTime t : finish) worst = std::max(worst, t);
-  return to_seconds(worst);
+               const SimHooks& hooks, const mpi::RankBody& body) {
+  const mpi::JobResult run = mpi::run_job(
+      spec,
+      [cyclic](const topo::Grid& grid) {
+        return cyclic ? mpi::cyclic_placement(grid, kGuidelineRanks)
+                      : mpi::block_placement(grid, kGuidelineRanks);
+      },
+      profile, kernel, {}, body, hooks);
+  return to_seconds(run.makespan);
 }
 
 /// Times for one probe size, measured as independent simulations so a
@@ -59,9 +45,8 @@ SizeTimes measure_size(const topo::GridSpec& spec,
                        const tcp::KernelTunables& kernel,
                        const GuidelineOptions& opt, double bytes) {
   const double per_rank = bytes / kGuidelineRanks;
-  auto run = [&](std::function<Task<void>(Rank&)> body) {
-    return measure(spec, profile, kernel, opt.cyclic, opt.hooks,
-                   std::move(body));
+  auto run = [&](const mpi::RankBody& body) {
+    return measure(spec, profile, kernel, opt.cyclic, opt.hooks, body);
   };
   SizeTimes t;
   t.allreduce = run(

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <memory>
 
-#include "mpi/mpi.hpp"
+#include "mpi/run_job.hpp"
 #include "simcore/simulation.hpp"
 
 namespace gridsim::harness {
@@ -64,17 +64,16 @@ std::vector<PingpongPoint> pingpong_sweep(const topo::GridSpec& spec,
                                           const profiles::ExperimentConfig& cfg,
                                           const PingpongOptions& options,
                                           const SimHooks& hooks) {
-  Simulation sim;
-  if (hooks.on_start) hooks.on_start(sim);
-  topo::Grid grid(sim, spec);
-  auto faults = topo::install_faults(grid, cfg.faults);
-  mpi::Job job(grid, endpoint_placement(grid, ends), cfg.profile, cfg.kernel);
   SweepState state;
   state.options = &options;
-  sim.spawn(ping_side(job.rank(0), &state));
-  sim.spawn(pong_side(job.rank(1), &options));
-  sim.run();
-  if (hooks.on_finish) hooks.on_finish(sim);
+  mpi::run_job(
+      spec,
+      [&ends](auto& grid) { return endpoint_placement(grid, ends); },
+      cfg.profile, cfg.kernel, cfg.faults,
+      [&state, &options](Rank& r) {
+        return r.rank() == 0 ? ping_side(r, &state) : pong_side(r, &options);
+      },
+      hooks);
   return std::move(state.points);
 }
 
@@ -139,6 +138,8 @@ std::vector<SlowstartSample> slowstart_series(
     const topo::GridSpec& spec, const PingpongEndpoints& ends,
     const profiles::ExperimentConfig& cfg, double bytes, int count,
     const CrossTraffic& cross, const SimHooks& hooks) {
+  // Not mpi::run_job: the cross traffic is a process of its own, outside
+  // the job's ranks, on a channel built from the same Grid.
   Simulation sim;
   if (hooks.on_start) hooks.on_start(sim);
   topo::Grid grid(sim, spec);

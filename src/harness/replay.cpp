@@ -8,8 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/npb_campaign.hpp"
-#include "mpi/mpi.hpp"
+#include "mpi/run_job.hpp"
 #include "simcore/simulation.hpp"
 
 namespace gridsim::harness {
@@ -50,30 +49,24 @@ CommTrace CommTrace::load(std::istream& in) {
   return t;
 }
 
-namespace {
-
-Task<void> record_kernel(mpi::Rank* r, npb::Kernel k, npb::Class c) {
-  co_await npb::run_kernel(*r, k, c);
-}
-
-}  // namespace
-
 CommTrace record_npb(const topo::GridSpec& spec, int nranks, npb::Kernel k,
                      npb::Class c, const profiles::ExperimentConfig& cfg) {
   npb::validate_ranks(k, nranks);
-  Simulation sim;
-  topo::Grid grid(sim, spec);
-  mpi::Job job(grid, mpi::block_placement(grid, nranks), cfg.profile,
-               cfg.kernel);
   CommTrace trace;
   trace.nranks = nranks;
-  job.set_message_recorder(
-      [&trace](SimTime at, int src, int dst, double bytes, int tag) {
-        trace.messages.push_back(RecordedMessage{at, src, dst, bytes, tag});
+  mpi::run_job(
+      spec,
+      [nranks](auto& grid) { return mpi::block_placement(grid, nranks); },
+      cfg.profile, cfg.kernel, cfg.faults,
+      [&trace, k, c](mpi::Rank& r) {
+        // Rank 0 starts first, before any rank has sent a payload.
+        if (r.rank() == 0)
+          r.job().set_message_recorder([&trace](SimTime at, int src, int dst,
+                                                double bytes, int tag) {
+            trace.messages.push_back(RecordedMessage{at, src, dst, bytes, tag});
+          });
+        return npb::run_kernel(r, k, c);
       });
-  for (int rank = 0; rank < nranks; ++rank)
-    sim.spawn(record_kernel(&job.rank(rank), k, c));
-  sim.run();
   std::stable_sort(trace.messages.begin(), trace.messages.end(),
                    [](const RecordedMessage& a, const RecordedMessage& b) {
                      return a.at < b.at;
@@ -128,8 +121,11 @@ ReplayResult replay_trace(const CommTrace& trace, const topo::GridSpec& spec,
                           const profiles::ExperimentConfig& cfg) {
   if (trace.nranks <= 0) throw std::invalid_argument("empty trace");
   const ReplayPlan plan = build_plan(trace);
+  // Not mpi::run_job: every rank runs two processes, a sender and a
+  // receiver, and only the receiver's finish counts.
   Simulation sim;
   topo::Grid grid(sim, spec);
+  const auto faults = topo::install_faults(grid, cfg.faults);
   mpi::Job job(grid, mpi::block_placement(grid, trace.nranks), cfg.profile,
                cfg.kernel);
   std::vector<SimTime> finish(static_cast<size_t>(trace.nranks), 0);

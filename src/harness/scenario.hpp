@@ -10,14 +10,13 @@
 // concurrently; group renderers reassemble per-cell results into the
 // paper's tables and charts.
 //
-// Contract for workload closures: a scenario builds its own Simulation(s)
-// (directly or through a harness runner) and shares no mutable state with
-// any other scenario, so N scenarios can run on N threads. Every simulation
-// the closure runs must see `ScenarioContext::hooks` — pass it to the
-// harness run_* call, or invoke `hooks.on_start` right after constructing a
-// raw `Simulation` and `hooks.on_finish` after its run() returns. That is
-// what lets the campaign runner trace-digest a scenario and prove the
-// parallel schedule changed nothing.
+// Contract for workload closures: a scenario runs its own simulations and
+// shares no mutable state with any other scenario, so N scenarios can run
+// on N threads. Every simulation the closure runs must see
+// `ScenarioContext::hooks` — pass `ctx.hooks` to `mpi::run_job`
+// (mpi/run_job.hpp) or a harness runner. That is what lets the campaign
+// runner trace-digest a scenario and prove the parallel schedule changed
+// nothing.
 #pragma once
 
 #include <cstdint>

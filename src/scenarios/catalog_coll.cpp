@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <climits>
 #include <cstdio>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -33,7 +32,7 @@
 #include "collectives/guidelines.hpp"
 #include "collectives/registry.hpp"
 #include "collectives/selector.hpp"
-#include "mpi/mpi.hpp"
+#include "mpi/run_job.hpp"
 #include "scenarios/catalog_internal.hpp"
 #include "topology/grid5000.hpp"
 
@@ -57,26 +56,18 @@ mpi::CollRule pure_rule(CollOp op, const std::string& algo) {
   return r;
 }
 
-/// Runs one SPMD body under the context's digest hooks; returns the max
-/// per-rank finish time in seconds.
+/// Runs one SPMD body on `nranks` block-placed ranks under the context's
+/// digest hooks; returns the makespan in seconds.
 double run_timed(const ScenarioContext& ctx, const topo::GridSpec& spec,
                  int nranks, const profiles::ExperimentConfig& cfg,
-                 const std::function<Task<void>(Rank&)>& body,
+                 const mpi::RankBody& body,
                  mpi::TrafficStats* stats = nullptr) {
-  Simulation sim;
-  if (ctx.hooks.on_start) ctx.hooks.on_start(sim);
-  topo::Grid grid(sim, spec);
-  mpi::Job job(grid, mpi::block_placement(grid, nranks), cfg.profile,
-               cfg.kernel);
-  std::vector<SimTime> finish(static_cast<size_t>(nranks), 0);
-  job.launch([&body, &finish](Rank& r) -> Task<void> {
-    co_await body(r);
-    finish[static_cast<size_t>(r.rank())] = r.sim().now();
-  });
-  sim.run();
-  if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
-  if (stats) *stats = job.traffic();
-  return to_seconds(*std::max_element(finish.begin(), finish.end()));
+  mpi::JobResult run = mpi::run_job(
+      spec,
+      [nranks](auto& grid) { return mpi::block_placement(grid, nranks); },
+      cfg.profile, cfg.kernel, cfg.faults, body, ctx.hooks);
+  if (stats) *stats = std::move(run.traffic);
+  return to_seconds(run.makespan);
 }
 
 /// The three deployments the guideline sweep covers: one cluster, the 8+8

@@ -16,10 +16,9 @@
 //    and the model-checker's HB persistent sets collapse the exploration
 //    of this workload to a single execution (the second matching order
 //    would deliver a causally-later message first).
-#include <functional>
 #include <string>
 
-#include "mpi/mpi.hpp"
+#include "mpi/run_job.hpp"
 #include "scenarios/catalog_internal.hpp"
 #include "topology/grid5000.hpp"
 
@@ -39,18 +38,14 @@ constexpr int kLintRanks = 3;
 /// Runs `body` on a 3-rank job spanning both sites (rank 0 + rank 1 in
 /// Rennes, rank 2 in Nancy — so the two candidate sends take LAN and WAN
 /// paths of genuinely different latency).
-ScenarioResult run_lint_job(
-    const ScenarioContext& ctx,
-    const std::function<Task<void>(mpi::Rank&)>& body, int* recvs,
-    double* sum_bytes) {
-  Simulation sim;
-  if (ctx.hooks.on_start) ctx.hooks.on_start(sim);
-  topo::Grid grid(sim, topo::GridSpec::rennes_nancy(2));
-  mpi::Job job(grid, mpi::block_placement(grid, kLintRanks),
-               profiles::mpich2(), tcp::KernelTunables::grid_tuned());
-  job.launch(body);
-  sim.run();
-  if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
+ScenarioResult run_lint_job(const ScenarioContext& ctx,
+                            const mpi::RankBody& body, int* recvs,
+                            double* sum_bytes) {
+  mpi::run_job(
+      topo::GridSpec::rennes_nancy(2),
+      [](auto& grid) { return mpi::block_placement(grid, kLintRanks); },
+      profiles::mpich2(), tcp::KernelTunables::grid_tuned(), {}, body,
+      ctx.hooks);
   ScenarioResult res;
   res.add("recvs", *recvs);
   res.add("sum_bytes", *sum_bytes, "B");

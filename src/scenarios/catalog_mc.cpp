@@ -15,13 +15,12 @@
 // the one forced choice, and emit a replayable witness; see
 // tests/simmc_test.cpp and docs/model-checking.md.
 #include <cctype>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "collectives/collectives.hpp"
 #include "harness/npb_campaign.hpp"
-#include "mpi/mpi.hpp"
+#include "mpi/run_job.hpp"
 #include "scenarios/catalog_internal.hpp"
 #include "topology/grid5000.hpp"
 
@@ -46,20 +45,22 @@ std::vector<mpi::ImplProfile> mc_profiles() {
   return {profiles::mpich2(), profiles::gridmpi()};
 }
 
+/// Runs `body` on `nranks` block-placed ranks spanning both sites.
+mpi::JobResult run_mc_job(const profiles::ExperimentConfig& cfg,
+                          const SimHooks& hooks, int nranks,
+                          const mpi::RankBody& body) {
+  return mpi::run_job(
+      topo::GridSpec::rennes_nancy(2),
+      [nranks](auto& grid) { return mpi::block_placement(grid, nranks); },
+      cfg.profile, cfg.kernel, cfg.faults, body, hooks);
+}
+
 /// Runs `body` on every rank of a 4-rank job spanning both sites and
 /// returns the job's traffic stats as interleaving-invariant metrics.
-ScenarioResult run_traffic_job(
-    const profiles::ExperimentConfig& cfg, const SimHooks& hooks, int nranks,
-    const std::function<Task<void>(mpi::Rank&)>& body) {
-  Simulation sim;
-  if (hooks.on_start) hooks.on_start(sim);
-  topo::Grid grid(sim, topo::GridSpec::rennes_nancy(2));
-  mpi::Job job(grid, mpi::block_placement(grid, nranks), cfg.profile,
-               cfg.kernel);
-  job.launch(body);
-  sim.run();
-  if (hooks.on_finish) hooks.on_finish(sim);
-  const mpi::TrafficStats& t = job.traffic();
+ScenarioResult run_traffic_job(const profiles::ExperimentConfig& cfg,
+                               const SimHooks& hooks, int nranks,
+                               const mpi::RankBody& body) {
+  const mpi::TrafficStats t = run_mc_job(cfg, hooks, nranks, body).traffic;
   ScenarioResult res;
   res.add("coll_msgs", static_cast<double>(t.collective_messages));
   res.add("coll_mb", t.collective_bytes / 1e6, "MB");
@@ -87,14 +88,9 @@ void register_wildcard_pingpong(ScenarioRegistry& reg) {
     spec.run = [impl](const ScenarioContext& ctx) {
       const profiles::ExperimentConfig cfg =
           profiles::experiment(impl).tuning(TuningLevel::kTcpTuned);
-      Simulation sim;
-      if (ctx.hooks.on_start) ctx.hooks.on_start(sim);
-      topo::Grid grid(sim, topo::GridSpec::rennes_nancy(2));
-      mpi::Job job(grid, mpi::block_placement(grid, kRanks), cfg.profile,
-                   cfg.kernel);
       int recvs = 0, acks = 0;
       double sum_bytes = 0, weighted_sum = 0;
-      job.launch([&](mpi::Rank& r) -> Task<void> {
+      run_mc_job(cfg, ctx.hooks, kRanks, [&](mpi::Rank& r) -> Task<void> {
         if (r.rank() == 0) {
           for (int i = 0; i < kRanks - 1; ++i) {
             const mpi::RecvInfo info =
@@ -110,8 +106,6 @@ void register_wildcard_pingpong(ScenarioRegistry& reg) {
           ++acks;
         }
       });
-      sim.run();
-      if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
       ScenarioResult res;
       res.add("recvs", recvs);
       res.add("sum_bytes", sum_bytes, "B");
@@ -242,14 +236,11 @@ void register_deadlock_fixture(ScenarioRegistry& reg) {
   spec.ranks = 3;
   spec.races_expected = true;  // the hidden ordering bug *is* an R1 race
   spec.run = [](const ScenarioContext& ctx) {
-    Simulation sim;
-    if (ctx.hooks.on_start) ctx.hooks.on_start(sim);
-    topo::Grid grid(sim, topo::GridSpec::rennes_nancy(2));
-    mpi::Job job(grid, mpi::block_placement(grid, 3),
-                 profiles::mpich2(), tcp::KernelTunables::grid_tuned());
     int recvs = 0;
     double sum_bytes = 0;
-    job.launch([&](mpi::Rank& r) -> Task<void> {
+    const profiles::ExperimentConfig cfg{
+        profiles::mpich2(), tcp::KernelTunables::grid_tuned(), {}};
+    run_mc_job(cfg, ctx.hooks, 3, [&](mpi::Rank& r) -> Task<void> {
       if (r.rank() == 0) {
         // Arrival order matches rank 1 (LAN, arrives first) here, leaving
         // rank 2's message for the specific receive below. The *other*
@@ -263,8 +254,6 @@ void register_deadlock_fixture(ScenarioRegistry& reg) {
         co_await r.send(0, r.rank() == 1 ? 111 : 222, kDataTag);
       }
     });
-    sim.run();
-    if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
     ScenarioResult res;
     res.add("recvs", recvs);
     res.add("sum_bytes", sum_bytes, "B");

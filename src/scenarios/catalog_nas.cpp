@@ -10,9 +10,8 @@
 
 #include "collectives/collectives.hpp"
 #include "harness/npb_campaign.hpp"
-#include "mpi/mpi.hpp"
+#include "mpi/run_job.hpp"
 #include "scenarios/catalog_internal.hpp"
-#include "simcore/simulation.hpp"
 #include "topology/grid5000.hpp"
 
 namespace gridsim::scenarios::detail {
@@ -27,6 +26,11 @@ using profiles::TuningLevel;
 
 profiles::ExperimentConfig nas_config(const mpi::ImplProfile& impl) {
   return profiles::experiment(impl).tuning(TuningLevel::kTcpTuned);
+}
+
+/// The paper's 16-rank block placement ("PR1..PR8 then PN1..PN8").
+std::vector<net::HostId> block_of_16(const topo::Grid& grid) {
+  return mpi::block_placement(grid, 16);
 }
 
 /// Runtime of every kernel for one implementation on one deployment.
@@ -235,6 +239,11 @@ void register_ratio_figure(ScenarioRegistry& reg, const RatioFigure& fig) {
 // Ablation: collective algorithm suites on the grid.
 // ---------------------------------------------------------------------------
 
+/// 100 back-to-back 64 kB allreduces.
+Task<void> allreduce_series(mpi::Rank& r) {
+  for (int i = 0; i < 100; ++i) co_await coll::allreduce(r, 64e3);
+}
+
 void register_ablation_collectives(ScenarioRegistry& reg) {
   struct BcastCase {
     const char* slug;
@@ -301,23 +310,11 @@ void register_ablation_collectives(ScenarioRegistry& reg) {
           profiles::experiment(profiles::mpich2())
               .allreduce_algo(algo)
               .tuning(TuningLevel::kTcpTuned);
-      // 100 back-to-back 64 kB allreduces over 8+8 nodes, timed directly
-      // on a raw Simulation (so the hooks are invoked manually).
-      Simulation sim;
-      if (ctx.hooks.on_start) ctx.hooks.on_start(sim);
-      topo::Grid grid(sim, topo::GridSpec::rennes_nancy(8));
-      mpi::Job job(grid, mpi::block_placement(grid, 16), cfg.profile,
-                   cfg.kernel);
-      std::vector<SimTime> finish(16, 0);
-      for (int rank = 0; rank < 16; ++rank) {
-        sim.spawn([](mpi::Rank& r, SimTime* out) -> Task<void> {
-          for (int i = 0; i < 100; ++i) co_await coll::allreduce(r, 64e3);
-          *out = r.sim().now();
-        }(job.rank(rank), &finish[static_cast<size_t>(rank)]));
-      }
-      sim.run();
-      if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
-      const SimTime makespan = *std::max_element(finish.begin(), finish.end());
+      const SimTime makespan =
+          mpi::run_job(topo::GridSpec::rennes_nancy(8), block_of_16,
+                       cfg.profile, cfg.kernel, cfg.faults, allreduce_series,
+                       ctx.hooks)
+              .makespan;
       ScenarioResult res;
       res.add("total_s", to_seconds(makespan), "s");
       res.cells.push_back(label);
@@ -476,27 +473,18 @@ void register_ablation_heterogeneity(ScenarioRegistry& reg) {
 // Extension: block vs cyclic task placement.
 // ---------------------------------------------------------------------------
 
-Task<void> placement_kernel_body(mpi::Rank& rank, npb::Kernel k,
-                                 SimTime* out) {
-  co_await npb::run_kernel(rank, k, npb::Class::kA);
-  *out = rank.sim().now();
-}
-
 double run_with_placement(npb::Kernel k, bool cyclic, const SimHooks& hooks) {
-  Simulation sim;
-  if (hooks.on_start) hooks.on_start(sim);
-  topo::Grid grid(sim, topo::GridSpec::rennes_nancy(8));
   const auto cfg = nas_config(profiles::mpich2());
-  const auto placement = cyclic ? mpi::cyclic_placement(grid, 16)
-                                : mpi::block_placement(grid, 16);
-  mpi::Job job(grid, placement, cfg.profile, cfg.kernel);
-  std::vector<SimTime> finish(16, 0);
-  for (int r = 0; r < 16; ++r)
-    sim.spawn(placement_kernel_body(job.rank(r), k,
-                                    &finish[static_cast<size_t>(r)]));
-  sim.run();
-  if (hooks.on_finish) hooks.on_finish(sim);
-  return to_seconds(*std::max_element(finish.begin(), finish.end()));
+  const mpi::JobResult run = mpi::run_job(
+      topo::GridSpec::rennes_nancy(8),
+      [cyclic](const topo::Grid& grid) {
+        return cyclic ? mpi::cyclic_placement(grid, 16)
+                      : mpi::block_placement(grid, 16);
+      },
+      cfg.profile, cfg.kernel, cfg.faults,
+      [k](mpi::Rank& r) { return npb::run_kernel(r, k, npb::Class::kA); },
+      hooks);
+  return to_seconds(run.makespan);
 }
 
 void register_ext_placement(ScenarioRegistry& reg) {
@@ -548,10 +536,6 @@ void register_ext_placement(ScenarioRegistry& reg) {
 // Extension: traffic locality per kernel.
 // ---------------------------------------------------------------------------
 
-Task<void> traffic_kernel_body(mpi::Rank* r, npb::Kernel k) {
-  co_await npb::run_kernel(*r, k, npb::Class::kA);
-}
-
 void register_ext_traffic_matrix(ScenarioRegistry& reg) {
   for (npb::Kernel k : npb::all_kernels()) {
     ScenarioSpec spec;
@@ -562,21 +546,23 @@ void register_ext_traffic_matrix(ScenarioRegistry& reg) {
     spec.expected_metrics = {"lan_mb", "wan_mb", "wan_share_pct",
                              "wan_pairs"};
     spec.run = [k](const ScenarioContext& ctx) {
-      Simulation sim;
-      if (ctx.hooks.on_start) ctx.hooks.on_start(sim);
-      topo::Grid grid(sim, topo::GridSpec::rennes_nancy(8));
       const auto cfg = nas_config(profiles::mpich2());
-      mpi::Job job(grid, mpi::block_placement(grid, 16), cfg.profile,
-                   cfg.kernel);
-      for (int r = 0; r < 16; ++r)
-        sim.spawn(traffic_kernel_body(&job.rank(r), k));
-      sim.run();
-      if (ctx.hooks.on_finish) ctx.hooks.on_finish(sim);
+      std::vector<int> site_of_rank(16);
+      const mpi::JobResult run = mpi::run_job(
+          topo::GridSpec::rennes_nancy(8), block_of_16, cfg.profile,
+          cfg.kernel, cfg.faults,
+          [k, &site_of_rank](mpi::Rank& r) {
+            site_of_rank[static_cast<size_t>(r.rank())] =
+                r.job().grid().site_of(r.host());
+            return npb::run_kernel(r, k, npb::Class::kA);
+          },
+          ctx.hooks);
       double lan = 0, wan = 0;
       std::uint64_t wan_pairs = 0;
-      for (const auto& [pair, bytes] : job.traffic().pair_bytes) {
-        const bool crosses = grid.site_of(job.rank(pair.first).host()) !=
-                             grid.site_of(job.rank(pair.second).host());
+      for (const auto& [pair, bytes] : run.traffic.pair_bytes) {
+        const bool crosses =
+            site_of_rank[static_cast<size_t>(pair.first)] !=
+            site_of_rank[static_cast<size_t>(pair.second)];
         (crosses ? wan : lan) += bytes;
         if (crosses) ++wan_pairs;
       }

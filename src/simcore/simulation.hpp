@@ -173,12 +173,12 @@ class Simulation {
   std::chrono::steady_clock::time_point wall_deadline_{};
 };
 
-/// Optional observation hooks for harness-owned simulations. Scenario
-/// runners that construct their Simulation internally call `on_start` right
-/// after the engine is built (before any process is spawned) and `on_finish`
-/// once the event loop has drained, while the engine is still alive. The
-/// determinism auditor uses them to enable tracing and hash the event trace
-/// without the runners leaking their engine.
+/// Optional observation hooks for runner-owned simulations. `mpi::run_job`
+/// (and the few runners that build their own engine) calls `on_start` right
+/// after the engine is built (before any process is spawned) and
+/// `on_finish` once the run is over, while the engine is still alive. The
+/// campaign uses them to enable tracing and hash the event trace without
+/// the runners leaking their engine.
 struct SimHooks {
   std::function<void(Simulation&)> on_start;
   std::function<void(Simulation&)> on_finish;

@@ -232,6 +232,8 @@ class PacketTcp {
 
 PacketSimResult packet_level_transfer(double bytes, const PacketSimConfig& cfg,
                                       const SimHooks& hooks) {
+  // One raw TCP connection and no MPI job, so no mpi::run_job: the hooks
+  // are invoked here, like the harness runners do.
   Simulation sim;
   if (hooks.on_start) hooks.on_start(sim);
   PacketTcp conn(sim, bytes, cfg);

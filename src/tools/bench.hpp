@@ -1,6 +1,8 @@
 // `gridsim bench` support: engine micro-benchmarks written to
 // BENCH_micro.json (see docs/usage.md for the schema). End-to-end timing of
-// paper workloads lives in gridbench/.
+// paper workloads lives in gridbench/. Each row builds its own Simulation:
+// the rows time engine layers below MPI, so none goes through
+// mpi::run_job.
 #pragma once
 
 #include <array>

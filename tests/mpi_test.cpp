@@ -2,9 +2,13 @@
 // rendez-vous behaviour, non-blocking operations, and Table 4 latencies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "mpi/comm_log.hpp"
 #include "mpi/mpi.hpp"
+#include "mpi/run_job.hpp"
+#include "simcore/check.hpp"
 #include "simcore/simulation.hpp"
 #include "topology/grid5000.hpp"
 
@@ -457,6 +461,129 @@ TEST(Mpi, DeferredWildcardDoesNotStealFromSpecificRecv) {
   f.sim.run();
   EXPECT_EQ(wild_src, 2);
   EXPECT_EQ(specific_src, 1);
+}
+
+
+// ---------------------------------------------------------------------------
+// mpi::run_job: the SPMD runner every experiment goes through.
+// ---------------------------------------------------------------------------
+
+/// Four ranks on the 2+2 grid (ranks 0, 1 in Rennes; 2, 3 in Nancy).
+JobResult run_on_grid(const RankBody& body, const SimHooks& hooks = {},
+                      SimTime timeout = 0,
+                      const simfault::FaultPlan& faults = {}) {
+  return run_job(
+      topo::GridSpec::rennes_nancy(2),
+      [](const topo::Grid& grid) { return block_placement(grid, 4); },
+      test_profile(), tcp::KernelTunables::grid_tuned(), faults, body, hooks,
+      timeout);
+}
+
+/// 4 MB from rank 0 in Rennes to rank 2 in Nancy.
+Task<void> wan_transfer(Rank& r) {
+  if (r.rank() == 0) co_await r.send(2, 4e6, 0);
+  if (r.rank() == 2) (void)co_await r.recv(0, 0);
+}
+
+/// Rank 1 sends a message no rank ever receives.
+Task<void> unreceived_send(Rank& r) {
+  if (r.rank() == 1) co_await r.send(0, 100, 0);
+}
+
+/// Every rank waits for its pair partner, which waits for it.
+Task<void> crossed_receives(Rank& r) {
+  (void)co_await r.recv(r.rank() ^ 1, 0);
+}
+
+Task<void> sleep_ten_seconds(Rank& r) { co_await r.sim().delay(seconds(10)); }
+
+std::size_t count_events(const CommLog& log, CommEventKind kind) {
+  const auto& events = log.jobs().back().events;
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(),
+                    [kind](const CommEvent& e) { return e.kind == kind; }));
+}
+
+TEST(RunJob, OnStartFiresOnceOnTheFreshEngine) {
+  int calls = 0;
+  std::uint64_t events_at_start = 1;
+  SimHooks hooks;
+  hooks.on_start = [&](Simulation& sim) {
+    ++calls;
+    events_at_start = sim.events_processed();
+  };
+  run_on_grid(wan_transfer, hooks);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(events_at_start, 0u);
+}
+
+TEST(RunJob, OnFinishFiresOnceAfterTheDrainBeforeJobTeardown) {
+  // The unreceived message is recorded by the Job's finalize sweep (lint
+  // rule R3), which runs only when the Job is torn down.
+  CommLog log;
+  const ScopedCommLog scope(&log);
+  int calls = 0;
+  std::size_t leaks_at_finish = 99;
+  SimHooks hooks;
+  hooks.on_finish = [&](Simulation& sim) {
+    ++calls;
+    EXPECT_EQ(sim.live_processes(), 0);
+    EXPECT_EQ(sim.queue_depth(), 0u);
+    leaks_at_finish = count_events(log, CommEventKind::kUnmatchedSend);
+  };
+  run_on_grid(unreceived_send, hooks);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(leaks_at_finish, 0u);
+  EXPECT_EQ(count_events(log, CommEventKind::kUnmatchedSend), 1u);
+}
+
+TEST(RunJob, MakespanIsTheSlowestBodyNotTheEngineEnd) {
+  std::vector<SimTime> finish(4, -1);
+  SimTime engine_end = 0;
+  SimHooks hooks;
+  hooks.on_finish = [&](Simulation& sim) { engine_end = sim.now(); };
+  const JobResult res = run_on_grid(
+      [&finish](Rank& r) -> Task<void> {
+        co_await wan_transfer(r);
+        finish[static_cast<size_t>(r.rank())] = r.sim().now();
+      },
+      hooks);
+  EXPECT_FALSE(res.timed_out);
+  EXPECT_EQ(res.makespan, *std::max_element(finish.begin(), finish.end()));
+  // TCP bookkeeping (acks, completion checks) outlives the application.
+  EXPECT_LT(res.makespan, engine_end);
+  EXPECT_GT(res.traffic.p2p_bytes, 0);
+}
+
+TEST(RunJob, TimeoutCutsTheRunAtTheLimit) {
+  // The cut run abandons its suspended rank coroutines.
+  [[maybe_unused]] ScopedLeakExemption abandoned_run_frames;
+  const JobResult cut = run_on_grid(sleep_ten_seconds, {}, seconds(1));
+  EXPECT_TRUE(cut.timed_out);
+  EXPECT_EQ(cut.makespan, seconds(1));
+  // A limit the run never reaches changes nothing.
+  const JobResult full = run_on_grid(wan_transfer);
+  const JobResult generous = run_on_grid(wan_transfer, {}, seconds(3600));
+  EXPECT_FALSE(generous.timed_out);
+  EXPECT_EQ(generous.makespan, full.makespan);
+}
+
+TEST(RunJob, DeadlockPropagatesAndTheJobStillFinalizes) {
+  [[maybe_unused]] ScopedLeakExemption abandoned_run_frames;
+  CommLog log;
+  const ScopedCommLog scope(&log);
+  EXPECT_THROW(run_on_grid(crossed_receives), DeadlockError);
+  ASSERT_EQ(log.jobs().size(), 1u);
+  EXPECT_EQ(count_events(log, CommEventKind::kUnmatchedRecv), 4u);
+}
+
+TEST(RunJob, InstalledWanFlapRaisesTheMakespan) {
+  simfault::FaultPlan outage;
+  outage.flap.down_at = milliseconds(5);
+  outage.flap.down_for = milliseconds(500);
+  const JobResult clean = run_on_grid(wan_transfer);
+  const JobResult flapped = run_on_grid(wan_transfer, {}, 0, outage);
+  EXPECT_GT(flapped.makespan, clean.makespan + milliseconds(400));
 }
 
 }  // namespace

@@ -93,6 +93,26 @@ TEST(Replay, ReplayOnGridSlowerThanCluster) {
   EXPECT_GT(on_grid.makespan, on_cluster.makespan);
 }
 
+TEST(Replay, FaultPlanAppliesToRecordAndReplay) {
+  // A WAN outage longer than the whole run stalls every later cross-site
+  // message, both when the trace is recorded and when it is replayed.
+  const auto grid = topo::GridSpec::rennes_nancy(2);
+  simfault::FlapSpec outage;
+  outage.down_at = milliseconds(100);
+  outage.down_for = seconds(5);
+  const profiles::ExperimentConfig flapped =
+      profiles::experiment(profiles::mpich2())
+          .tuning(profiles::TuningLevel::kTcpTuned)
+          .flap(outage);
+  const auto trace =
+      record_npb(grid, 4, npb::Kernel::kCG, npb::Class::kS, cfg());
+  EXPECT_GT(replay_trace(trace, grid, flapped).makespan,
+            replay_trace(trace, grid, cfg()).makespan);
+  const auto flapped_trace =
+      record_npb(grid, 4, npb::Kernel::kCG, npb::Class::kS, flapped);
+  EXPECT_GT(flapped_trace.messages.back().at, trace.messages.back().at);
+}
+
 TEST(Replay, EmptyTraceRejected) {
   CommTrace t;
   EXPECT_THROW(replay_trace(t, topo::GridSpec::single_cluster(2), cfg()),
